@@ -5,7 +5,7 @@ array-native: the K×M candidate feasibility broadcast, the deferred
 rank-k kernel with its C argument block, the struct-of-arrays
 simulator.  The bugs that remain there are ones NumPy will not raise
 on — an unintended broadcast that "works" when two extents coincide, a
-dtype drift across the C/NumPy backend pair, a non-contiguous view
+dtype drift across the Python/C kernel boundary, a non-contiguous view
 handed to the kernel as a raw pointer.  meghshape interprets each hot
 function over a symbolic-shape domain (named dimensions ``N`` VMs,
 ``M`` PMs, ``K`` candidate rows, ``W`` window, ``d`` basis — see

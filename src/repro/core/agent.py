@@ -22,7 +22,6 @@ the non-zeros touched in ``B`` — never to the full ``d = N x M`` space.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +78,7 @@ class MeghScheduler:
         trace=None,
         contracts=None,
         dynamic_slots: bool = False,
-        scalar_candidates: Optional[bool] = None,
+        scalar_candidates: bool = False,
     ) -> None:
         if not 0 < beta <= 1:
             raise ConfigurationError("beta must be in (0, 1]")
@@ -96,14 +95,8 @@ class MeghScheduler:
         )
         #: Differential-oracle switch: route candidate generation through
         #: the retained scalar pipeline instead of the vectorized index.
-        #: ``None`` consults ``REPRO_SCALAR_CANDIDATES`` so benches and
-        #: tests can flip the generator without threading a flag through
-        #: every construction site.  Both generators produce identical
-        #: plans — the scalar path exists to prove exactly that.
-        if scalar_candidates is None:
-            scalar_candidates = os.environ.get(
-                "REPRO_SCALAR_CANDIDATES", ""
-            ) not in ("", "0")
+        #: Both generators produce identical plans — the scalar path
+        #: exists to prove exactly that.
         self.scalar_candidates = scalar_candidates
         self.lstd = SparseLstd(
             dimension=self.action_space.dimension,

@@ -366,7 +366,7 @@ class CandidateIndex:
         """Wrap scalar-oracle candidate lists in a plan.
 
         Lets ``decide()`` run its selection/learning pipeline on top of
-        the retained scalar generator (``REPRO_SCALAR_CANDIDATES=1`` /
+        the retained scalar generator (``scalar_candidates=True`` /
         the differential-oracle bench mode) so the two generators are
         interchangeable downstream.  Uses only the generic datacenter
         protocol (``num_pms``, ``host_of``) so the reference

@@ -16,9 +16,8 @@ dict build to obtain the left factor.  This module removes both costs by
   rank at its last flush), reading each update's left-factor weight from
   the row's own current state.
 * A grouped flush kernel applies all of a dirty row's pending deltas in
-  one pass — either the always-available pure-NumPy backend
-  (:class:`NumpyKernel`) or a small C kernel compiled on demand with the
-  system compiler and loaded through :mod:`ctypes` (:class:`CKernel`).
+  one pass — a small C kernel compiled on demand with the system
+  compiler and loaded through :mod:`ctypes` (:class:`CKernel`).
 
 Bit-identity argument (the whole point — golden decision traces and the
 ShermanMorrisonAuditor must not move by one ulp):
@@ -44,11 +43,14 @@ ShermanMorrisonAuditor must not move by one ulp):
   ``-ffp-contract=off -fno-fast-math`` so no fused multiply-add can
   change a rounding.
 
-Backend selection: ``REPRO_KERNEL=auto`` (default; C when a compiler is
-available, NumPy otherwise), ``c`` (require the compiled kernel),
-``numpy`` (deferred, pure NumPy), ``off`` (eager legacy path, no
-deferral).  ``REPRO_KERNEL_WINDOW`` bounds the staged rank (default
-128); ``REPRO_KERNEL_CACHE`` relocates the compiled-object cache.
+One fast path, one oracle: ``REPRO_KERNEL=auto`` (default) defers
+through the C kernel when it builds and loads and otherwise runs the
+eager path; ``off`` always runs the eager path, which is the oracle the
+C kernel is differentially tested against (``tests/core/test_kern.py``,
+the golden traces under both modes).  The choice is logged once per
+process on the ``repro.core.kern`` logger, with the reason when the
+compiled kernel is unavailable.  :data:`DEFAULT_WINDOW` bounds the
+staged rank; ``REPRO_KERNEL_CACHE`` relocates the compiled-object cache.
 
 Flush writes to the owning matrix's backing store are *representation
 preserving* — the logical matrix value does not change, so they do not
@@ -61,11 +63,14 @@ MEGH011 checks that pairing against the declared invariant table.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import logging
 import os
+import platform
 import subprocess
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,10 +81,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sparse imports us)
 
 __all__ = [
     "CKernel",
-    "KernelBackend",
     "DEFAULT_WINDOW",
     "KernelUnavailableError",
-    "NumpyKernel",
     "PendingUpdates",
     "make_pending",
     "resolve_mode",
@@ -88,29 +91,16 @@ __all__ = [
 #: Default maximum staged rank before an automatic full flush.
 DEFAULT_WINDOW = 128
 
-_VALID_MODES = ("auto", "c", "numpy", "off")
+_VALID_MODES = ("auto", "off")
+
+_log = logging.getLogger(__name__)
+
+#: Set once the ``auto`` backend choice has been logged in this process.
+_choice_logged = False
 
 
 class KernelUnavailableError(ConfigurationError):
-    """Raised when ``REPRO_KERNEL=c`` but no compiled kernel can be built."""
-
-
-class KernelBackend(Protocol):
-    """A grouped flush backend: replay rows' staged updates in order."""
-
-    name: str
-
-    def replay_rows(
-        self,
-        matrix: "SparseMatrix",
-        rows: np.ndarray,
-        starts: np.ndarray,
-        pending: "PendingUpdates",
-    ) -> Tuple[int, int]:
-        """Replay staged updates ``starts[r]..`` onto each row.
-
-        Returns ``(applied, skipped)`` (row, update) pair counts.
-        """
+    """Raised when the compiled kernel cannot be built or loaded."""
 
 
 def resolve_mode() -> str:
@@ -128,22 +118,6 @@ def resolve_mode() -> str:
     return mode
 
 
-def resolve_window() -> int:
-    """Read ``REPRO_KERNEL_WINDOW`` (validated; default ``DEFAULT_WINDOW``)."""
-    raw = os.environ.get("REPRO_KERNEL_WINDOW")
-    if raw is None:
-        return DEFAULT_WINDOW
-    try:
-        window = int(raw)
-    except ValueError as error:
-        raise ConfigurationError(
-            f"REPRO_KERNEL_WINDOW={raw!r} is not an integer"
-        ) from error
-    if window < 1:
-        raise ConfigurationError("REPRO_KERNEL_WINDOW must be >= 1")
-    return window
-
-
 # ----------------------------------------------------------------------
 # The compiled backend
 # ----------------------------------------------------------------------
@@ -155,8 +129,8 @@ def resolve_window() -> int:
 #: plus the exact added/removed column sets (computed by a sorted merge
 #: against the old row) so the Python side can maintain the column index
 #: without per-row set algebra.  All arithmetic is plain double
-#: precision in the same association as the NumPy path:
-#: ``d = scale * w; v = d * vals[t]``.
+#: precision in the same association as the eager scatter
+#: (``SparseMatrix._scatter_add``): ``d = scale * w; v = d * vals[t]``.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -326,9 +300,9 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
         if (use_mask) {
             /* Initial candidates: updates whose pivot column is present
              * in the row right now.  Applied updates extend the bitmap
-             * below when they insert a column some later pivot needs
-             * (same superset argument as the NumPy backend's live
-             * candidate mask). */
+             * below when they insert a column some later pivot needs:
+             * every other update has weight zero by the superset
+             * argument in the Python module docstring. */
             memset(cand, 0, (size_t)n_updates);
             int64_t u = 0, v = 0;
             while (u < n && v < n_updates) {
@@ -493,16 +467,15 @@ int64_t megh_combine_rows(const int64_t *idx_a, const double *val_a,
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add would change roundings and break
-#: bit-identity with the NumPy/eager path.  No ``-march=native`` for the
-#: same reason (keep plain SSE2 doubles).
+#: bit-identity with the eager path.  ``-march=native`` is safe under
+#: them — it picks instructions, never FP semantics — but it makes the
+#: object specific to this CPU, so the cache key includes the CPU
+#: identity (see :func:`_library_path`).
 _CFLAGS = (
     "-O3",
     "-march=native",
     "-fPIC",
     "-shared",
-    # Bit-identity with the NumPy backend requires plain IEEE doubles:
-    # no FMA contraction, no fast-math value changes.  -O3/-march=native
-    # are safe under these — they never alter FP semantics on their own.
     "-ffp-contract=off",
     "-fno-fast-math",
 )
@@ -524,29 +497,52 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _cpu_identity() -> str:
+    """Architecture plus CPU model — what ``-march=native`` compiles for."""
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    return f"{platform.machine()} {model}"
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def _library_path() -> str:
+    """Cache path of the kernel object for this source, flags and CPU.
+
+    The object is built with ``-march=native``, so a cache directory
+    shared between machines (e.g. a home directory on network storage)
+    must not hand one CPU's object to another.
+    """
+    key = "\n".join((_C_SOURCE, " ".join(_CFLAGS), _cpu_identity()))
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+    return os.path.join(_kernel_cache_dir(), f"megh_kern_{digest}.so")
+
+
 def _compiled_library_path() -> str:
-    """Compile (once, cached on disk by source hash) and return the .so path.
+    """Compile (once, cached on disk) and return the .so path.
 
     Tries ``_CFLAGS`` first, then once more without ``-march=native`` for
     toolchains that reject it (the flag never changes FP results, only
     speed).  Raises :class:`KernelUnavailableError` when no compiler is
     available or every attempt fails; ``auto`` mode catches this and
-    falls back.
+    falls back to the eager path.
     """
-    digest = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CFLAGS)).encode("utf-8")
-    ).hexdigest()[:16]
-    cache_dir = _kernel_cache_dir()
-    library = os.path.join(cache_dir, f"megh_kern_{digest}.so")
+    library = _library_path()
     if os.path.exists(library):
         return library
+    cache_dir = os.path.dirname(library)
     compiler = _find_compiler()
     if compiler is None:
         raise KernelUnavailableError(
             "REPRO_KERNEL: no C compiler (gcc/cc/clang) on PATH"
         )
     os.makedirs(cache_dir, exist_ok=True)
-    source = os.path.join(cache_dir, f"megh_kern_{digest}.c")
+    source = library[: -len(".so")] + ".c"
     staging = f"{library}.tmp.{os.getpid()}"
     with open(source, "w", encoding="utf-8") as handle:
         handle.write(_C_SOURCE)
@@ -585,6 +581,8 @@ class CKernel:
 
     def __init__(self) -> None:
         library = _compiled_library_path()
+        #: Path of the loaded kernel object (logged by ``auto``).
+        self.library = library
         try:
             self._lib = ctypes.CDLL(library)
         except OSError as error:
@@ -1037,101 +1035,28 @@ class CKernel:
         return int(stats[0]), int(stats[1])
 
 
-class NumpyKernel:
-    """Pure-NumPy fallback: replay each pending through the eager scatter.
+def _make_backend(mode: str) -> Optional[CKernel]:
+    """The compiled kernel for ``auto`` when it loads; ``None`` means eager.
 
-    A per-row candidate mask keeps the scan proportional to the updates
-    that can actually touch the row: an update is a candidate when the
-    row's *current* pivot entry is nonzero, or when an earlier applied
-    update scattered into its pivot column.  Everything else has weight
-    zero by the superset argument (see module docstring) and is skipped
-    without a lookup.  The scatter itself is the eager
-    ``SparseMatrix._scatter_add``, so bit-identity is immediate; the C
-    kernel is differentially tested against this backend and both
-    against the eager mode in ``tests/core/test_kern.py``.
+    The first ``auto`` choice in a process is logged — an eager fallback
+    costs most of the deferral's speed-up, so it must not be silent.
     """
-
-    name = "numpy"
-
-    def replay_rows(
-        self,
-        matrix: "SparseMatrix",
-        rows: np.ndarray,
-        starts: np.ndarray,
-        pending: "PendingUpdates",
-    ) -> Tuple[int, int]:
-        applied = 0
-        skipped = 0
-        n_updates = pending._n
-        pivots = pending._pivots
-        scales = pending._scales
-        upd_offsets = pending._upd_offsets
-        cols_flat = pending._cols_flat
-        vals_flat = pending._vals_flat
-        for r in range(rows.shape[0]):
-            i = int(rows[r])
-            start = int(starts[r])
-            if start >= n_updates:
-                continue
-            tail = pivots[start:n_updates]
-            row = matrix._rows.get(i)
-            if row is None:
-                candidates = tail == i
-                if matrix._diag[i] == 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel: 0.0 means "absent"
-                    candidates = np.zeros(tail.shape[0], dtype=bool)
-            else:
-                n = row.n
-                positions = np.searchsorted(row.idx[:n], tail)
-                in_range = positions < n
-                candidates = np.zeros(tail.shape[0], dtype=bool)
-                candidates[in_range] = (
-                    row.idx[positions[in_range]] == tail[in_range]
-                )
-            # Plain index loop, re-reading the live mask each step: an
-            # applied update can activate *later* candidates (fill into
-            # their pivot column), so a snapshot of the nonzeros would
-            # silently drop them.
-            for offset in range(candidates.shape[0]):
-                if not candidates[offset]:
-                    continue
-                k = start + offset
-                weight = matrix._entry(i, int(pivots[k]))
-                if weight == 0.0:  # meghlint: ignore[MEGH003] -- exact-zero short-circuit, mirrors the eager weight skip
-                    skipped += 1
-                    continue
-                applied += 1
-                seg0, seg1 = int(upd_offsets[k]), int(upd_offsets[k + 1])
-                segment_cols = cols_flat[seg0:seg1]
-                matrix._scatter_add(
-                    i,
-                    segment_cols,
-                    (float(scales[k]) * weight) * vals_flat[seg0:seg1],
-                )
-                if offset + 1 < candidates.shape[0]:
-                    # This update may have filled later pivot entries.
-                    later = tail[offset + 1:]
-                    positions = np.searchsorted(segment_cols, later)
-                    in_range = positions < segment_cols.shape[0]
-                    hits = np.zeros(later.shape[0], dtype=bool)
-                    hits[in_range] = (
-                        segment_cols[positions[in_range]] == later[in_range]
-                    )
-                    candidates[offset + 1:] |= hits
-        return applied, skipped
-
-
-def _make_backend(mode: str) -> Optional[KernelBackend]:
-    """Instantiate the backend for ``mode`` (``None`` means eager)."""
+    global _choice_logged
     if mode == "off":
         return None
-    if mode == "numpy":
-        return NumpyKernel()
     try:
-        return CKernel()
-    except KernelUnavailableError:
-        if mode == "c":
-            raise
-        return NumpyKernel()
+        backend = CKernel()
+    except KernelUnavailableError as error:
+        if not _choice_logged:
+            _log.warning(
+                "compiled kernel unavailable, using the eager path: %s", error
+            )
+        _choice_logged = True
+        return None
+    if not _choice_logged:
+        _log.info("compiled kernel loaded: %s", backend.library)
+    _choice_logged = True
+    return backend
 
 
 def make_pending(
@@ -1145,7 +1070,7 @@ def make_pending(
     backend = _make_backend(mode)
     if backend is None:
         return None
-    return PendingUpdates(backend, dimension, window=resolve_window())
+    return PendingUpdates(backend, dimension, window=DEFAULT_WINDOW)
 
 
 class PendingUpdates:
@@ -1162,7 +1087,7 @@ class PendingUpdates:
 
     def __init__(
         self,
-        backend: KernelBackend,
+        backend: CKernel,
         dimension: int,
         window: int = DEFAULT_WINDOW,
     ) -> None:
@@ -1467,7 +1392,7 @@ class PendingUpdates:
     def stats(self) -> Dict[str, object]:
         """Profiling snapshot (merged into BENCH_core.json by benches)."""
         meta: Dict[str, object] = {
-            "backend": getattr(self.backend, "name", "unknown"),
+            "backend": self.backend.name,
             "window": self.window,
             "enqueued": self.enqueued,
             "row_flushes": self.row_flushes,

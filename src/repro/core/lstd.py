@@ -162,11 +162,9 @@ class SparseLstd:
     @B.setter
     def B(self, matrix: SparseMatrix) -> None:
         self._B = matrix
-        # Duck-typed backend fast path: only the compiled kernel offers
-        # the fused row combine (None for numpy / deferral-off).
-        self._combine_rows = getattr(
-            matrix.kernel_backend, "combine_rows", None
-        )
+        # The compiled kernel's fused row combine (None on the eager path).
+        backend = matrix.kernel_backend
+        self._combine_rows = None if backend is None else backend.combine_rows
         self.invalidate_theta_cache()
         self._b_mutations_seen = matrix.mutations
 

@@ -29,12 +29,14 @@ quantities (:class:`repro.core.lstd.SparseLstd`'s dirty-row theta cache)
 compare it to detect out-of-band writes such as the contract tests'
 deliberate corruption.
 
-Deferred rank-k updates (meghkern, ``REPRO_KERNEL``): when the kernel is
-enabled (the default), :meth:`SparseMatrix.rank_one_update_from_column`
-stages rank-1 updates in a :class:`repro.core.kern.PendingUpdates` engine
-instead of scattering immediately.  Every read path flushes exactly the
-rows it touches, replaying each row's staged contributions in submission
-order — bit-identical to the eager path by construction (see the
+Deferred rank-k updates (meghkern, ``REPRO_KERNEL=auto|off``): when the
+compiled kernel loads (the ``auto`` default),
+:meth:`SparseMatrix.rank_one_update_from_column` stages rank-1 updates in
+a :class:`repro.core.kern.PendingUpdates` engine instead of scattering
+immediately; otherwise every update takes the eager scatter, which is
+also the oracle the kernel is tested against.  Every read path flushes
+exactly the rows it touches, replaying each row's staged contributions in
+submission order — bit-identical to the eager path by construction (see the
 ``kern`` module docstring for the argument).  A staged update bumps
 ``mutations`` exactly once at enqueue; the flush itself is
 representation preserving and bumps nothing.
@@ -100,25 +102,24 @@ class SparseMatrix:
         self._nnz = 0
         #: Bumped on every mutation; lets caches detect external writes.
         self.mutations = 0
-        #: Deferred rank-k staging engine (None = eager legacy path).
-        #: ``kernel`` overrides the ``REPRO_KERNEL`` environment choice.
+        #: Deferred rank-k staging engine (None = eager path).
+        #: ``kernel`` (``"auto"`` or ``"off"``) overrides the
+        #: ``REPRO_KERNEL`` environment choice.
         self._kernel_mode = kern.resolve_mode() if kernel is None else kernel
         self._pending = kern.make_pending(self._kernel_mode, dimension)
 
     @property
     def kernel_name(self) -> str:
-        """Active flush backend: ``"c"``, ``"numpy"``, or ``"off"``."""
+        """Active flush backend: ``"c"``, or ``"off"`` for the eager path."""
         if self._pending is None:
             return "off"
         return self._pending.backend.name
 
     @property
-    def kernel_backend(self) -> Optional["kern.KernelBackend"]:
-        """The active flush backend object (``None`` when deferral is off).
+    def kernel_backend(self) -> Optional["kern.CKernel"]:
+        """The compiled kernel (``None`` on the eager path).
 
-        Lets hot callers duck-type optional backend fast paths (e.g. the
-        compiled kernel's fused row combine) without importing backend
-        classes.
+        Lets the learning step bind the kernel's fused row combine.
         """
         if self._pending is None:
             return None
@@ -127,7 +128,7 @@ class SparseMatrix:
     def kernel_stats(self) -> Dict[str, object]:
         """Snapshot of the deferred engine's profiling counters.
 
-        Stable schema across backends (zeros when deferral is off) so
+        Same schema on both paths (zeros on the eager path) so
         benchmarks can diff two snapshots for a per-phase breakdown:
         ``enqueue_seconds``/``flush_seconds`` split the staging cost
         from the replay cost, and the count fields say how much work
@@ -267,17 +268,6 @@ class SparseMatrix:
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
-
-    def _entry(self, i: int, j: int) -> float:
-        """Stored entry ``(i, j)`` with *no* flush — the replay weight read."""
-        row = self._rows.get(i)
-        if row is None:
-            return float(self._diag[i]) if i == j else 0.0
-        n = row.n
-        position = int(np.searchsorted(row.idx[:n], j))
-        if position < n and row.idx[position] == j:
-            return float(row.val[position])
-        return 0.0
 
     # ------------------------------------------------------------------
     # Row materialization and maintenance

@@ -48,9 +48,9 @@ __all__ = ["METRIC_FLOORS", "check_benchmarks", "run"]
 #: reference container; see the module docstring.  The committed
 #: ``rank_one_update_ops_per_s`` is a compiled-kernel number
 #: (fast-mode fresh/committed ratio ~1.05 with the C backend); on a
-#: machine with no C compiler the NumPy backend runs fast mode at a
-#: ratio of ~0.08 — use ``--band`` there rather than loosening the
-#: floor for everyone.
+#: machine with no C compiler ``auto`` runs the eager path, which is
+#: far below the floor — use ``--band`` there rather than loosening
+#: the floor for everyone.
 METRIC_FLOORS: Tuple[Tuple[str, str, float], ...] = (
     ("core", "lstd.rank_one_update_ops_per_s", 0.25),
     ("core", "lstd.q_value_cold_ops_per_s", 0.15),

@@ -1,8 +1,10 @@
 """Tests for VM selection policies and PABFD placement."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.mmt.placement import (
+    _power_aware_best_fit_scalar,
     hosts_by_utilization,
     power_aware_best_fit,
     power_increase,
@@ -81,6 +83,41 @@ class TestPowerIncrease:
         # Host nearly saturated by pending demand: the same extra MIPS
         # adds less *visible* power because utilization caps at 100 %.
         assert with_pending <= base + 1e-9
+
+
+class TestPabfdOracle:
+    """The vectorized PABFD plan equals the retained per-PM scan."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vectorized_plan_matches_scalar_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        num_pms, num_vms = 10, 30
+        pms = [
+            make_pm(i, mips=float(rng.choice([2000.0, 4000.0])))
+            for i in range(num_pms)
+        ]
+        vms = [
+            make_vm(
+                j,
+                mips=float(rng.choice([500.0, 1000.0, 2000.0])),
+                ram_mb=float(rng.choice([256.0, 512.0])),
+            )
+            for j in range(num_vms)
+        ]
+        dc = Datacenter(pms, vms)
+        # The last two hosts stay empty and asleep (wake cost applies).
+        for j in range(num_vms):
+            dc.place(j, int(rng.integers(0, num_pms - 2)))
+            dc.vm(j).set_demand(float(rng.uniform(0.0, 1.0)))
+        dc.sleep_idle_hosts()
+        vm_ids = rng.choice(num_vms, size=10, replace=False).tolist()
+        excluded = rng.choice(num_pms, size=2, replace=False).tolist()
+        threshold = float(rng.choice([0.6, 0.8, 1.0]))
+        plan = power_aware_best_fit(dc, vm_ids, threshold, excluded)
+        assert plan == _power_aware_best_fit_scalar(
+            dc, vm_ids, threshold, excluded
+        )
+        assert plan, "the scenario should place at least one VM"
 
 
 class TestPabfd:

@@ -214,11 +214,3 @@ class TestScratchReuse:
         first = index._feas
         index.plan(dc)
         assert index._feas is first
-
-    def test_scalar_mode_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_CANDIDATES", "1")
-        agent = MeghScheduler(num_vms=4, num_pms=2, seed=0)
-        assert agent.scalar_candidates
-        monkeypatch.setenv("REPRO_SCALAR_CANDIDATES", "0")
-        agent = MeghScheduler(num_vms=4, num_pms=2, seed=0)
-        assert not agent.scalar_candidates

@@ -27,8 +27,18 @@ def _load_fixture(seed: int) -> dict:
         return json.load(handle)
 
 
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-def test_migration_sequence_is_reproduced_exactly(seed: int) -> None:
+#: Every seed under ``REPRO_KERNEL=auto`` (the compiled fast path when it
+#: loads) and ``off`` (its eager oracle): both must replay the recording.
+KERNEL_CASES = [
+    pytest.param(seed, "auto", id=str(seed)) for seed in GOLDEN_SEEDS
+] + [pytest.param(seed, "off", id=f"{seed}-off") for seed in GOLDEN_SEEDS]
+
+
+@pytest.mark.parametrize("seed, kernel", KERNEL_CASES)
+def test_migration_sequence_is_reproduced_exactly(
+    seed: int, kernel: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
     expected = _load_fixture(seed)
     actual = run_golden_scenario(seed)
     assert actual["scenario"] == expected["scenario"]

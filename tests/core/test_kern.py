@@ -1,34 +1,40 @@
 """Tests for meghkern — the deferred rank-k Sherman–Morrison engine.
 
-Covers backend selection (``REPRO_KERNEL`` / ``REPRO_KERNEL_WINDOW``),
-staging semantics, cross-backend bit-identity, the compiled row-combine
-helper, and a randomized differential oracle against a dense NumPy
-replica of the eager scatter.  Backends are compared by *matrix state*
-(bit equality), never by their internal applied/skipped counters — the
-C kernel counts every scanned-and-skipped update while the NumPy
-backend only scans candidates, so the stats legitimately differ.
+Covers backend selection (``REPRO_KERNEL=auto|off``, the logged
+fallback, the compiled-object cache key), staging semantics, C-vs-eager
+bit-identity, the compiled row-combine helper, and a randomized
+differential oracle against a dense NumPy replica of the eager scatter.
+The fast path (the C kernel, loaded by ``auto``) and its one oracle (the
+eager ``off`` path) are compared by *matrix state* (bit equality).
 """
+
+import logging
 
 import numpy as np
 import pytest
 
 from repro.core import kern
-from repro.core.kern import (
-    DEFAULT_WINDOW,
-    KernelUnavailableError,
-    NumpyKernel,
-    PendingUpdates,
-)
+from repro.core.kern import KernelUnavailableError, PendingUpdates
 from repro.core.lstd import _row_entry
 from repro.core.sparse import PRUNE_EPSILON, SparseMatrix
 from repro.errors import ConfigurationError
 
 _HAS_COMPILER = kern._find_compiler() is not None
 
-#: Every backend mode runnable in this environment.
-KERNELS = ["off", "numpy"] + (["c"] if _HAS_COMPILER else [])
-#: Deferred backends only (staging semantics tests).
-DEFERRED = [mode for mode in KERNELS if mode != "off"]
+needs_compiler = pytest.mark.skipif(
+    not _HAS_COMPILER, reason="no C compiler on PATH"
+)
+
+#: ``auto`` with a compiler on PATH loads the C kernel.
+_C = pytest.param("auto", id="c", marks=needs_compiler)
+#: The compiled fast path and its eager oracle, as ``kernel=`` modes.
+KERNELS = [_C, pytest.param("off", id="off")]
+
+
+def _without_compiler(monkeypatch, tmp_path) -> None:
+    """Empty ``PATH`` and point the object cache at an empty directory."""
+    monkeypatch.setenv("PATH", str(tmp_path / "nothing-here"))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
 
 
 def dense_of(matrix: SparseMatrix) -> np.ndarray:
@@ -77,54 +83,81 @@ class TestBackendSelection:
     def test_resolve_mode_default_and_validation(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert kern.resolve_mode() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "NumPy")
-        assert kern.resolve_mode() == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL", "OFF")
+        assert kern.resolve_mode() == "off"
         monkeypatch.setenv("REPRO_KERNEL", "bogus")
         with pytest.raises(ConfigurationError):
             kern.resolve_mode()
-
-    def test_window_env_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_WINDOW", raising=False)
-        assert kern.resolve_window() == DEFAULT_WINDOW
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "7")
-        assert kern.resolve_window() == 7
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "0")
         with pytest.raises(ConfigurationError):
-            kern.resolve_window()
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "many")
-        with pytest.raises(ConfigurationError):
-            kern.resolve_window()
+            SparseMatrix(4, kernel="bogus")
 
     def test_off_mode_is_eager(self):
         matrix = SparseMatrix(4, kernel="off")
         assert matrix.kernel_name == "off"
         assert matrix.kernel_backend is None
 
-    def test_numpy_mode(self):
-        matrix = SparseMatrix(4, kernel="numpy")
-        assert matrix.kernel_name == "numpy"
-        assert isinstance(matrix.kernel_backend, NumpyKernel)
-
-    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
-    def test_c_mode_compiles(self):
-        matrix = SparseMatrix(4, kernel="c")
-        assert matrix.kernel_name == "c"
-
-    def test_c_mode_without_compiler_raises(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("PATH", str(tmp_path / "nothing-here"))
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
-        with pytest.raises(KernelUnavailableError):
-            SparseMatrix(4, kernel="c")
-
-    def test_auto_mode_falls_back_to_numpy(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("PATH", str(tmp_path / "nothing-here"))
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+    @needs_compiler
+    def test_auto_mode_loads_c(self):
         matrix = SparseMatrix(4, kernel="auto")
-        assert matrix.kernel_name == "numpy"
+        assert matrix.kernel_name == "c"
+        assert isinstance(matrix.kernel_backend, kern.CKernel)
+        assert matrix.kernel_stats()["kernel"] == "c"
+
+    def test_c_kernel_without_compiler_raises(self, monkeypatch, tmp_path):
+        _without_compiler(monkeypatch, tmp_path)
+        with pytest.raises(KernelUnavailableError):
+            kern.CKernel()
+
+    def test_auto_mode_falls_back_to_off(self, monkeypatch, tmp_path):
+        _without_compiler(monkeypatch, tmp_path)
+        matrix = SparseMatrix(4, kernel="auto")
+        assert matrix.kernel_name == "off"
+        assert matrix.kernel_backend is None
+        assert matrix.kernel_stats()["kernel"] == "off"
+
+    def test_fallback_is_logged_once_with_its_reason(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        _without_compiler(monkeypatch, tmp_path)
+        monkeypatch.setattr(kern, "_choice_logged", False)
+        with caplog.at_level(logging.INFO, logger="repro.core.kern"):
+            SparseMatrix(4, kernel="auto")
+            SparseMatrix(4, kernel="auto")
+        records = [
+            record for record in caplog.records
+            if record.name == "repro.core.kern"
+        ]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "eager path" in records[0].getMessage()
+        assert "no C compiler" in records[0].getMessage()
+
+    @needs_compiler
+    def test_c_load_is_logged_once(self, caplog, monkeypatch):
+        monkeypatch.setattr(kern, "_choice_logged", False)
+        with caplog.at_level(logging.INFO, logger="repro.core.kern"):
+            SparseMatrix(4, kernel="auto")
+            SparseMatrix(4, kernel="auto")
+            SparseMatrix(4, kernel="off")
+        records = [
+            record for record in caplog.records
+            if record.name == "repro.core.kern"
+        ]
+        assert len(records) == 1
+        assert "compiled kernel loaded" in records[0].getMessage()
+
+    def test_library_path_is_keyed_on_cpu_identity(self, monkeypatch):
+        monkeypatch.setattr(kern, "_cpu_identity", lambda: "x86_64 CPU A")
+        first = kern._library_path()
+        assert kern._library_path() == first
+        monkeypatch.setattr(kern, "_cpu_identity", lambda: "x86_64 CPU B")
+        assert kern._library_path() != first
+        monkeypatch.setattr(kern, "_cpu_identity", lambda: "aarch64 CPU A")
+        assert kern._library_path() != first
 
 
 class TestStagingSemantics:
-    @pytest.mark.parametrize("mode", DEFERRED)
+    @pytest.mark.parametrize("mode", [_C])
     def test_enqueue_defers_and_read_flushes(self, mode):
         matrix = SparseMatrix.identity(8, scale=1.0, kernel=mode)
         pending = matrix._pending
@@ -137,7 +170,7 @@ class TestStagingSemantics:
         assert matrix.get(0, 3) == 2.0
         assert not pending.is_dirty(0)
 
-    @pytest.mark.parametrize("mode", DEFERRED)
+    @pytest.mark.parametrize("mode", KERNELS)
     def test_flush_preserves_matrix_mutations(self, mode):
         matrix = SparseMatrix.identity(8, scale=1.0, kernel=mode)
         columns = np.array([3], dtype=np.int64)
@@ -150,9 +183,10 @@ class TestStagingSemantics:
         matrix.rank_one_update_from_column(0, columns, np.array([1.0]), 1.0)
         assert matrix.mutations == seen + 1
 
+    @needs_compiler
     def test_window_triggers_full_flush(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "3")
-        matrix = SparseMatrix.identity(8, scale=1.0, kernel="numpy")
+        monkeypatch.setattr(kern, "DEFAULT_WINDOW", 3)
+        matrix = SparseMatrix.identity(8, scale=1.0, kernel="auto")
         pending = matrix._pending
         columns = np.array([4], dtype=np.int64)
         for k in range(3):
@@ -165,7 +199,7 @@ class TestStagingSemantics:
         assert pending.pending_count == 1
         assert pending.full_flushes == 1
 
-    @pytest.mark.parametrize("mode", DEFERRED)
+    @pytest.mark.parametrize("mode", KERNELS)
     def test_staged_only_reachable_rows_apply(self, mode):
         # Column 3 has NO stored support when the second update stages:
         # its only future entry comes from the still-staged first update.
@@ -181,13 +215,13 @@ class TestStagingSemantics:
         assert matrix.get(0, 3) == 1.0
         assert matrix.get(0, 5) == 1.0
 
-    @pytest.mark.parametrize("mode", DEFERRED)
+    @pytest.mark.parametrize("mode", KERNELS)
     def test_window_boundary_support_is_settled(self, mode, monkeypatch):
         # Regression for the pre-flush ordering: when staging the third
         # update forces the window flush, the support read afterwards
         # must see the *settled* image (rows that gained a pivot entry
         # during that flush are clean again and must be re-marked).
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "2")
+        monkeypatch.setattr(kern, "DEFAULT_WINDOW", 2)
         matrix = SparseMatrix(8, kernel=mode)
         matrix.set(0, 0, 1.0)
         matrix.rank_one_update_from_column(
@@ -201,7 +235,7 @@ class TestStagingSemantics:
         )
         assert matrix.get(0, 5) == 2.0
 
-    @pytest.mark.parametrize("mode", DEFERRED)
+    @pytest.mark.parametrize("mode", KERNELS)
     def test_flush_rows_batch_matches_per_row(self, mode):
         rng = np.random.default_rng(11)
         streams = []
@@ -223,7 +257,7 @@ class TestStagingSemantics:
         assert np.array_equal(dense_of(batched), dense_of(per_row))
 
     def test_pending_updates_rejects_bad_config(self):
-        backend = NumpyKernel()
+        backend = None  # validation runs before the backend is used
         with pytest.raises(ConfigurationError):
             PendingUpdates(backend, dimension=0)
         with pytest.raises(ConfigurationError):
@@ -231,13 +265,15 @@ class TestStagingSemantics:
 
 
 class TestBackendParity:
+    @needs_compiler
     def test_backends_bit_identical(self):
         """Same stream + same forced flushes -> byte-equal matrices."""
         dimension = 24
         matrices = {
             mode: SparseMatrix.identity(dimension, scale=1.0, kernel=mode)
-            for mode in KERNELS
+            for mode in ("off", "auto")
         }
+        assert matrices["auto"].kernel_name == "c"
         rng = np.random.default_rng(5)
         for step in range(300):
             pivot = int(rng.integers(0, dimension))
@@ -252,10 +288,8 @@ class TestBackendParity:
                     matrix.row_view(probe)
                 if step % 13 == 0:
                     matrix.flush_rows(batch)
-        reference_mode, *other_modes = KERNELS
-        reference = dense_of(matrices[reference_mode])
-        for mode in other_modes:
-            assert np.array_equal(reference, dense_of(matrices[mode])), mode
+        reference = dense_of(matrices["off"])
+        assert np.array_equal(reference, dense_of(matrices["auto"]))
         for matrix in matrices.values():
             assert matrix.nnz == int(np.count_nonzero(reference))
 
@@ -285,7 +319,7 @@ class TestDifferentialOracle:
     @pytest.mark.parametrize("mode", KERNELS)
     def test_dyadic_stream_forces_exact_prunes(self, mode):
         """Power-of-two data makes cancellations land on exact zeros,
-        driving the prune/remove paths through every backend."""
+        driving the prune/remove paths through both paths."""
         dimension = 16
         matrix = SparseMatrix.identity(dimension, scale=1.0, kernel=mode)
         oracle = np.eye(dimension)
@@ -307,10 +341,10 @@ class TestDifferentialOracle:
         assert matrix.nnz == int(np.count_nonzero(oracle))
 
 
-@pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+@needs_compiler
 class TestCombineRows:
     def test_matches_numpy_construction(self):
-        matrix = SparseMatrix(16, kernel="c")
+        matrix = SparseMatrix(16, kernel="auto")
         rng = np.random.default_rng(3)
         for j in sorted(rng.choice(16, size=7, replace=False).tolist()):
             matrix.set(2, int(j), float(rng.normal()))
@@ -343,7 +377,7 @@ class TestCombineRows:
         assert entry_b == _row_entry(idx_b, val_b, pivot)
 
     def test_empty_and_disjoint_rows(self):
-        matrix = SparseMatrix(8, kernel="c")
+        matrix = SparseMatrix(8, kernel="auto")
         matrix.set(0, 1, 2.0)
         matrix.set(0, 4, -1.0)
         matrix.set(5, 2, 8.0)
@@ -359,7 +393,7 @@ class TestCombineRows:
     def test_exact_cancellation_is_dropped(self):
         # Shared column where row_a - gamma * row_next is exactly zero:
         # the combine drops it, matching the staging zero filter.
-        matrix = SparseMatrix(8, kernel="c")
+        matrix = SparseMatrix(8, kernel="auto")
         matrix.set(0, 3, 1.0)
         matrix.set(5, 3, 2.0)
         backend = matrix.kernel_backend

@@ -83,6 +83,29 @@ class TestResumeBitIdentity:
         resumed = resumed_service.run(resumed_agent)
         assert _result_key(full_result) == _result_key(resumed)
 
+    def test_checkpoint_format_is_independent_of_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoint under ``auto``, resume on the eager ``off`` path.
+
+        The saved learner state is the settled matrix, so the resumed
+        half must not care which path staged the first half's updates.
+        """
+        steps = 40
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        full_result, _, _ = _run_full(5, steps)
+
+        path = str(tmp_path / "auto.npz")
+        service = build_churn_service(seed=5, num_steps=steps)
+        agent = MeghScheduler.from_simulation(service, seed=5)
+        service.run(agent, checkpoint_path=path, stop_after_step=steps // 2)
+
+        monkeypatch.setenv("REPRO_KERNEL", "off")
+        resumed_service, resumed_agent = load_service(path)
+        assert resumed_agent.lstd.B.kernel_name == "off"
+        resumed = resumed_service.run(resumed_agent)
+        assert _result_key(full_result) == _result_key(resumed)
+
     def test_resume_rejects_different_horizon(self, tmp_path):
         path = str(tmp_path / "svc.npz")
         service = build_churn_service(seed=0, num_steps=30)
