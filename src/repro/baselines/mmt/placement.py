@@ -56,9 +56,10 @@ def power_aware_best_fit(
     earlier in the same plan.
     """
     arrays = getattr(datacenter, "arrays", None)
-    if arrays is None:
-        # Reference object-model backend (no struct-of-arrays store):
-        # keep the historical per-PM scan.
+    groups = arrays.power_groups(datacenter.pms) if arrays is not None else None
+    if groups is None:
+        # Reference object-model backend (no struct-of-arrays store), or
+        # a power model without ``power_batch``: the per-PM scan.
         return _power_aware_best_fit_scalar(
             datacenter, vm_ids, threshold, excluded_hosts
         )
@@ -66,46 +67,66 @@ def power_aware_best_fit(
     num_pms = arrays.num_pms
     # Planning never mutates placement, so the per-PM vectors are loop
     # invariants; only the pending-commitment vectors evolve.  The float
-    # arithmetic mirrors the historical per-PM scan operand for operand
-    # (``(demand + pending) + vm_demand``, ``free − pending``), so the
-    # planned map is bit-identical to the scalar version's.
+    # arithmetic mirrors ``power_increase`` and the scalar scan operand
+    # for operand (``(demand + pending) + vm_demand``, ``free − pending``,
+    # ``(P(after) − P(before)) + wake``), and ``power_batch`` equals
+    # ``power`` bit for bit, so the planned map is bit-identical to the
+    # scalar version's.
     ram_free = arrays.pm_ram_free_mb()
     pm_demand = arrays.pm_demand_mips()
-    budget = threshold * arrays.pm_mips
-    blocked = np.zeros(num_pms, dtype=bool)
-    for pm_id in excluded_hosts:
-        blocked[pm_id] = True
+    pm_mips = arrays.pm_mips
+    budget = threshold * pm_mips
+    allowed = np.ones(num_pms, dtype=bool)
+    allowed[list(excluded_hosts)] = False
+    # Waking a sleeping host adds its idle draw, P(0).
+    wake = np.zeros(num_pms, dtype=np.float64)
+    for model, pm_ids in groups:
+        wake[pm_ids] = model.power(0.0)
+    wake[~arrays.pm_asleep] = 0.0
     pending_mips = np.zeros(num_pms, dtype=np.float64)
     pending_ram = np.zeros(num_pms, dtype=np.float64)
+    increase = np.empty(num_pms, dtype=np.float64)
     ordered = sorted(
         vm_ids, key=lambda vm_id: -datacenter.vm(vm_id).demanded_mips
     )
     for vm_id in ordered:
         vm = datacenter.vm(vm_id)
+        demand = vm.demanded_mips
         source = datacenter.host_of(vm_id)
+        load = pm_demand + pending_mips
         feasible = (
-            ~blocked
+            allowed
             & (vm.ram_mb <= ram_free - pending_ram)
-            & ((pm_demand + pending_mips) + vm.demanded_mips <= budget)
+            & (load + demand <= budget)
         )
         if source is not None:
             feasible[source] = False
-        best_pm: Optional[int] = None
-        best_increase = float("inf")
-        # The power model stays scalar: only the (few) feasible hosts
-        # reach it, in ascending id order with a strict `<` so the first
-        # minimiser wins — exactly the historical scan.
-        for pm_id in np.flatnonzero(feasible).tolist():
-            increase = power_increase(
-                datacenter, pm_id, vm.demanded_mips, float(pending_mips[pm_id])
+        if not feasible.any():
+            continue
+        # Score every feasible host at once: one ``power_batch`` per
+        # power model evaluates P(after) and P(before) together.
+        # Infeasible hosts score +inf, so ``np.argmin`` returns the first
+        # feasible minimiser — the lowest host id among ties, exactly as
+        # the scan's strict ``<``.
+        increase.fill(np.inf)
+        for model, pm_ids in groups:
+            candidates = pm_ids[feasible[pm_ids]]
+            count = candidates.size
+            base = load[candidates]
+            mips = pm_mips[candidates]
+            watts = model.power_batch(
+                np.minimum(
+                    1.0,
+                    np.concatenate(((base + demand) / mips, base / mips)),
+                )
             )
-            if increase < best_increase:
-                best_increase = increase
-                best_pm = pm_id
-        if best_pm is not None:
-            plan[vm_id] = best_pm
-            pending_mips[best_pm] += vm.demanded_mips
-            pending_ram[best_pm] += vm.ram_mb
+            increase[candidates] = (
+                watts[:count] - watts[count:]
+            ) + wake[candidates]
+        best_pm = int(np.argmin(increase))
+        plan[vm_id] = best_pm
+        pending_mips[best_pm] += demand
+        pending_ram[best_pm] += vm.ram_mb
     return plan
 
 
@@ -115,7 +136,11 @@ def _power_aware_best_fit_scalar(
     threshold: float,
     excluded_hosts: Sequence[int] = (),
 ) -> Dict[int, int]:
-    """Per-PM PABFD scan for backends without ``DatacenterArrays``."""
+    """Per-PM PABFD scan: the oracle for :func:`power_aware_best_fit`.
+
+    It also serves backends without ``DatacenterArrays`` and fleets
+    with a power model that lacks ``power_batch``.
+    """
     excluded = set(excluded_hosts)
     plan: Dict[int, int] = {}
     pending_mips: Dict[int, float] = {}

@@ -117,6 +117,19 @@ class MMTScheduler:
     def _consolidate_underloads(
         self, observation: Observation
     ) -> List[Migration]:
+        """Evacuate underloaded hosts, least loaded first.
+
+        Known deviation from CloudSim's PABFD: each source host's PABFD
+        call starts from fresh pending-commitment vectors, and the
+        overload-relief plan is not visible here either.  Placements for
+        different source hosts therefore stack onto the same
+        destinations, and ``MigrationEngine.start`` rejects the
+        overflow with ``CapacityError`` (8,961 of 9,219 planned
+        migrations over 12 THR-MMT steps at 800 PMs x 1,052 VMs, seed
+        1).  CloudSim commits each placement (``vmCreate``) before it
+        plans the next host.  Carrying the commitments across calls
+        changes results, so it is left as a separate fix.
+        """
         datacenter = observation.datacenter
         monitor = observation.monitor
         migrations: List[Migration] = []

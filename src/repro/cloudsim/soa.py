@@ -31,9 +31,19 @@ exact.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
 import numpy as np
 
+if TYPE_CHECKING:
+    from repro.cloudsim.pm import PhysicalMachine
+    from repro.cloudsim.power import PowerModel
+
 __all__ = ["DatacenterArrays"]
+
+#: ``(model, pm_ids)`` pairs: the hosts sharing one power-model instance,
+#: in ascending id order.
+PowerGroups = List[Tuple["PowerModel", np.ndarray]]
 
 
 class DatacenterArrays:
@@ -88,6 +98,9 @@ class DatacenterArrays:
         self._ram_rebuilds = 0
         self._pm_ram_free = np.zeros(num_pms, dtype=np.float64)
         self._ram_free_gen = -1
+        # Hosts grouped by power model, built on first use.
+        self._power_groups: Optional[PowerGroups] = None
+        self._power_groups_built = False
 
     # ------------------------------------------------------------------
     # Dirty-flag management
@@ -233,6 +246,30 @@ class DatacenterArrays:
     def pm_bw_demand_utilization(self) -> np.ndarray:
         """Demanded network load fraction per host."""
         return self.pm_bw_demand_mbps() / self.pm_bandwidth_mbps
+
+    def power_groups(
+        self, pms: Sequence["PhysicalMachine"]
+    ) -> Optional[PowerGroups]:
+        """Host ids grouped by power-model instance, built once.
+
+        ``pms`` are the hosts bound to these arrays; their power models
+        are fixed after binding, like the capacity vectors.  Returns
+        ``None`` when any model lacks ``power_batch``: callers then
+        evaluate power host by host through the scalar ``power``.
+        """
+        if not self._power_groups_built:
+            self._power_groups_built = True
+            if all(hasattr(pm.power_model, "power_batch") for pm in pms):
+                by_model: dict = {}
+                for pm in pms:
+                    by_model.setdefault(
+                        id(pm.power_model), (pm.power_model, [])
+                    )[1].append(pm.pm_id)
+                self._power_groups = [
+                    (model, np.asarray(ids, dtype=np.int64))
+                    for model, ids in by_model.values()
+                ]
+        return self._power_groups
 
     def active_pm_mask(self) -> np.ndarray:
         """Hosts currently serving at least one VM."""

@@ -1,10 +1,15 @@
 """Tests for the complete MMT scheduler (detection + selection + PABFD)."""
 
+import json
+
 import pytest
 
+from repro.baselines.mmt import scheduler as scheduler_module
+from repro.baselines.mmt.placement import _power_aware_best_fit_scalar
 from repro.baselines.mmt.scheduler import MMTScheduler
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.monitor import UtilizationMonitor
+from repro.harness.builders import build_planetlab_simulation
 from repro.mdp.interfaces import Observation
 from repro.mdp.state import observe_state
 
@@ -150,3 +155,42 @@ class TestConfiguration:
             build_observation(overload_setup, monitor)
         )
         assert isinstance(migrations, list)
+
+
+class TestVectorizedPabfdWholeRun:
+    """A whole MMT run plans the same migrations with the vectorized
+    PABFD as with the per-PM scan, on a fleet where each VM has dozens
+    of feasible hosts of both power models."""
+
+    @staticmethod
+    def run(name, kwargs):
+        simulation = build_planetlab_simulation(
+            num_pms=100, num_vms=130, num_steps=10, seed=3
+        )
+        datacenter = simulation.datacenter
+        assert datacenter.arrays.power_groups(datacenter.pms) is not None
+        result = simulation.run(
+            MMTScheduler(name, **kwargs), validate_every_step=False
+        )
+        payload = result.to_dict()
+        for step in payload["steps"]:
+            step.pop("scheduler_seconds")
+        return json.dumps(payload, sort_keys=True), result.total_migrations
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("THR", {"utilization_threshold": 0.7}), ("LR", {})],
+        ids=["THR", "LR"],
+    )
+    def test_to_dict_identical_to_scalar_scan(
+        self, name, kwargs, monkeypatch
+    ):
+        vectorized, migrations = self.run(name, kwargs)
+        monkeypatch.setattr(
+            scheduler_module,
+            "power_aware_best_fit",
+            _power_aware_best_fit_scalar,
+        )
+        scalar, _ = self.run(name, kwargs)
+        assert vectorized == scalar
+        assert migrations > 0, "the run must migrate to prove anything"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.mmt import placement
 from repro.baselines.mmt.placement import (
     _power_aware_best_fit_scalar,
     hosts_by_utilization,
@@ -16,6 +17,12 @@ from repro.baselines.mmt.selection import (
     make_selection,
 )
 from repro.cloudsim.datacenter import Datacenter
+from repro.cloudsim.pm import PhysicalMachine
+from repro.cloudsim.power import (
+    HP_PROLIANT_G4,
+    HP_PROLIANT_G5,
+    LinearPowerModel,
+)
 from repro.errors import ConfigurationError
 
 from tests.conftest import make_pm, make_vm
@@ -85,39 +92,132 @@ class TestPowerIncrease:
         assert with_pending <= base + 1e-9
 
 
+class _ScalarOnlyPowerModel:
+    """A power model with ``power`` but no ``power_batch``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def power(self, utilization: float) -> float:
+        return self._inner.power(utilization)
+
+    @property
+    def max_power(self) -> float:
+        return self._inner.max_power
+
+
+def _random_fleet(seed, num_pms, num_vms, power_models, num_moved=10):
+    """A fleet with host ``i`` on ``power_models[i % len]``, random
+    placement and demand, and the last two hosts empty and asleep (so
+    the wake cost applies).  Returns the datacenter and a random PABFD
+    request ``(vm_ids, threshold, excluded)``."""
+    rng = np.random.default_rng(seed)
+    pms = [
+        PhysicalMachine(
+            pm_id=i,
+            mips=float(rng.choice([2000.0, 4000.0])),
+            ram_mb=4096.0,
+            bandwidth_mbps=1000.0,
+            power_model=power_models[i % len(power_models)],
+        )
+        for i in range(num_pms)
+    ]
+    vms = [
+        make_vm(
+            j,
+            mips=float(rng.choice([500.0, 1000.0, 2000.0])),
+            ram_mb=float(rng.choice([256.0, 512.0])),
+        )
+        for j in range(num_vms)
+    ]
+    dc = Datacenter(pms, vms)
+    for j in range(num_vms):
+        dc.place(j, int(rng.integers(0, num_pms - 2)))
+        dc.vm(j).set_demand(float(rng.uniform(0.0, 1.0)))
+    dc.sleep_idle_hosts()
+    vm_ids = rng.choice(num_vms, size=num_moved, replace=False).tolist()
+    excluded = rng.choice(num_pms, size=2, replace=False).tolist()
+    threshold = float(rng.choice([0.6, 0.8, 1.0]))
+    return dc, vm_ids, threshold, excluded
+
+
 class TestPabfdOracle:
     """The vectorized PABFD plan equals the retained per-PM scan."""
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_vectorized_plan_matches_scalar_scan(self, seed):
-        rng = np.random.default_rng(seed)
-        num_pms, num_vms = 10, 30
-        pms = [
-            make_pm(i, mips=float(rng.choice([2000.0, 4000.0])))
-            for i in range(num_pms)
-        ]
-        vms = [
-            make_vm(
-                j,
-                mips=float(rng.choice([500.0, 1000.0, 2000.0])),
-                ram_mb=float(rng.choice([256.0, 512.0])),
-            )
-            for j in range(num_vms)
-        ]
-        dc = Datacenter(pms, vms)
-        # The last two hosts stay empty and asleep (wake cost applies).
-        for j in range(num_vms):
-            dc.place(j, int(rng.integers(0, num_pms - 2)))
-            dc.vm(j).set_demand(float(rng.uniform(0.0, 1.0)))
-        dc.sleep_idle_hosts()
-        vm_ids = rng.choice(num_vms, size=10, replace=False).tolist()
-        excluded = rng.choice(num_pms, size=2, replace=False).tolist()
-        threshold = float(rng.choice([0.6, 0.8, 1.0]))
+    @staticmethod
+    def assert_matches_scalar(dc, vm_ids, threshold, excluded=()):
         plan = power_aware_best_fit(dc, vm_ids, threshold, excluded)
         assert plan == _power_aware_best_fit_scalar(
             dc, vm_ids, threshold, excluded
         )
         assert plan, "the scenario should place at least one VM"
+        return plan
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vectorized_plan_matches_scalar_scan(self, seed):
+        self.assert_matches_scalar(
+            *_random_fleet(seed, 10, 30, (HP_PROLIANT_G4, HP_PROLIANT_G5))
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_power_models(self, seed):
+        models = (
+            HP_PROLIANT_G4,
+            HP_PROLIANT_G5,
+            LinearPowerModel(idle_watts=70.0, peak_watts=140.0),
+        )
+        dc, *request = _random_fleet(seed, 12, 36, models)
+        assert len(dc.arrays.power_groups(dc.pms)) == 3
+        self.assert_matches_scalar(dc, *request)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_fleet(self, seed):
+        # Hundreds of feasible hosts per VM, as at paper scale.
+        dc, *request = _random_fleet(
+            seed, 200, 300, (HP_PROLIANT_G4, HP_PROLIANT_G5), num_moved=40
+        )
+        self.assert_matches_scalar(dc, *request)
+
+    @pytest.mark.parametrize("asleep", [False, True])
+    @pytest.mark.parametrize("excluded", [(), (1,)])
+    def test_ties_go_to_the_lowest_host_id(self, asleep, excluded):
+        # Hosts 1..5 are identical and empty: every one of them adds
+        # the same watts, so the lowest id not excluded must win.
+        pms = [
+            PhysicalMachine(
+                pm_id=i,
+                mips=4000.0,
+                ram_mb=4096.0,
+                bandwidth_mbps=1000.0,
+                power_model=HP_PROLIANT_G4,
+            )
+            for i in range(6)
+        ]
+        vms = [make_vm(j, mips=1000.0, ram_mb=512.0) for j in range(3)]
+        dc = Datacenter(pms, vms)
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(0.5)
+        if asleep:
+            dc.sleep_idle_hosts()
+        plan = self.assert_matches_scalar(dc, [0, 1, 2], 0.8, excluded)
+        assert plan[0] == (2 if excluded else 1)
+
+    def test_model_without_power_batch_takes_the_scalar_scan(
+        self, monkeypatch
+    ):
+        scans = []
+
+        def spy(*args):
+            scans.append(args)
+            return _power_aware_best_fit_scalar(*args)
+
+        models = (HP_PROLIANT_G4, _ScalarOnlyPowerModel(HP_PROLIANT_G5))
+        dc, *request = _random_fleet(0, 10, 30, models)
+        assert dc.arrays.power_groups(dc.pms) is None
+        monkeypatch.setattr(placement, "_power_aware_best_fit_scalar", spy)
+        self.assert_matches_scalar(dc, *request)
+        assert len(scans) == 1
 
 
 class TestPabfd:
