@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         help=(
             "experiment id: table2, table3, fig2..fig8, 'compare', "
-            "'lint', 'bench', 'profile', 'serve', or 'list'"
+            "'lint', 'profile', 'serve', or 'list'"
         ),
     )
     parser.add_argument(
@@ -289,10 +289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.analysis.cli import run as run_lint
 
         return run_lint(arguments[1:])
-    if arguments and arguments[0] == "bench":
-        from repro.harness.benchgate import run as run_bench
-
-        return run_bench(arguments[1:])
     if arguments and arguments[0] == "serve":
         from repro.service.cli import run as run_serve
 
@@ -313,10 +309,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 "lint     meghlint static analysis "
                 "(paths, --format, --select, --ignore, --list-rules)"
-            )
-            print(
-                "bench    perf-regression smoke gate "
-                "(--check, --band, --fresh-core/--fresh-sim)"
             )
             print(
                 "profile  cProfile a short simulation "

@@ -3,14 +3,11 @@
 This is the ``Datacenter`` implementation as it existed before the
 struct-of-arrays rewrite: placement in a ``dict``/``set`` index, every
 per-PM aggregate re-summed from the hosted VMs on each query, CPU
-sharing as a per-host Python loop.  It is kept for two purposes:
-
-* the differential oracle tests
-  (``tests/cloudsim/test_vectorized_equivalence.py``) drive it and the
-  vectorized :class:`~repro.cloudsim.datacenter.Datacenter` through the
-  same operation sequences and assert every query agrees bit-for-bit;
-* ``benchmarks/bench_sim_step.py --backend reference`` measures the
-  pre-rewrite pipeline for honest before/after numbers.
+sharing as a per-host Python loop.  It is kept as the oracle: the
+differential tests (``tests/cloudsim/test_vectorized_equivalence.py``)
+drive it and the vectorized
+:class:`~repro.cloudsim.datacenter.Datacenter` through the same
+operation sequences and assert every query agrees bit-for-bit.
 
 The only deliberate difference from the historical code: per-host sums
 iterate the hosted VMs in **ascending id order** (``sorted``), the

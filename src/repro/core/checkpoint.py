@@ -125,9 +125,33 @@ def _agent_payload(agent: MeghScheduler) -> Dict[str, np.ndarray]:
     return payload
 
 
+def _write_npz(path: str, payload: Dict[str, np.ndarray]) -> None:
+    """Write ``payload`` to ``path`` as a compressed NPZ, crash-safely.
+
+    The archive goes to a sibling temp file, is fsynced, and only then
+    replaces ``path`` (``os.replace`` is atomic), so a process killed
+    mid-save leaves the previous checkpoint intact.  As with
+    ``np.savez_compressed``, a ``.npz`` suffix is appended when missing.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def save_agent(agent: MeghScheduler, path: str) -> None:
     """Write the agent's full learner state to an NPZ checkpoint."""
-    np.savez_compressed(path, **_agent_payload(agent))
+    _write_npz(path, _agent_payload(agent))
 
 
 def _load_npz(path: str) -> Any:
@@ -288,7 +312,7 @@ def save_service(
                 f"payload"
             )
         payload[key] = np.asarray(array)
-    np.savez_compressed(path, **payload)
+    _write_npz(path, payload)
 
 
 def load_service(

@@ -523,25 +523,20 @@ def _library_path() -> str:
     return os.path.join(_kernel_cache_dir(), f"megh_kern_{digest}.so")
 
 
-def _compiled_library_path() -> str:
-    """Compile (once, cached on disk) and return the .so path.
+def _build_library(library: str) -> None:
+    """Compile the kernel into ``library`` (written by atomic rename).
 
     Tries ``_CFLAGS`` first, then once more without ``-march=native`` for
     toolchains that reject it (the flag never changes FP results, only
     speed).  Raises :class:`KernelUnavailableError` when no compiler is
-    available or every attempt fails; ``auto`` mode catches this and
-    falls back to the eager path.
+    available or every attempt fails.
     """
-    library = _library_path()
-    if os.path.exists(library):
-        return library
-    cache_dir = os.path.dirname(library)
     compiler = _find_compiler()
     if compiler is None:
         raise KernelUnavailableError(
             "REPRO_KERNEL: no C compiler (gcc/cc/clang) on PATH"
         )
-    os.makedirs(cache_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(library), exist_ok=True)
     source = library[: -len(".so")] + ".c"
     staging = f"{library}.tmp.{os.getpid()}"
     with open(source, "w", encoding="utf-8") as handle:
@@ -563,11 +558,39 @@ def _compiled_library_path() -> str:
             ) from error
         if result.returncode == 0:
             os.replace(staging, library)  # atomic vs concurrent builders
-            return library
+            return
         stderr = result.stderr
     raise KernelUnavailableError(
         "REPRO_KERNEL: compilation failed:\n" + stderr
     )
+
+
+def _load_library() -> Tuple[str, ctypes.CDLL]:
+    """Load the kernel object from the on-disk cache, building it if needed.
+
+    A cached object that does not load (truncated, corrupted on disk) is
+    built once more, and the new object replaces it, so it cannot pin
+    every later run to the eager path.  A failure after that rebuild
+    raises :class:`KernelUnavailableError`; ``auto`` mode catches it,
+    logs it and falls back to the eager path.
+    """
+    library = _library_path()
+    if os.path.exists(library):
+        try:
+            return library, ctypes.CDLL(library)
+        except OSError as error:
+            _log.warning(
+                "cached compiled kernel %s does not load, rebuilding: %s",
+                library,
+                error,
+            )
+    _build_library(library)
+    try:
+        return library, ctypes.CDLL(library)
+    except OSError as error:
+        raise KernelUnavailableError(
+            f"REPRO_KERNEL: cannot load {library}: {error}"
+        ) from error
 
 
 class CKernel:
@@ -580,15 +603,8 @@ class CKernel:
     name = "c"
 
     def __init__(self) -> None:
-        library = _compiled_library_path()
         #: Path of the loaded kernel object (logged by ``auto``).
-        self.library = library
-        try:
-            self._lib = ctypes.CDLL(library)
-        except OSError as error:
-            raise KernelUnavailableError(
-                f"REPRO_KERNEL: cannot load {library}: {error}"
-            ) from error
+        self.library, self._lib = _load_library()
         self._flush = self._lib.megh_flush_rows
         self._flush.restype = ctypes.c_int64
         self._flush.argtypes = [ctypes.c_void_p, ctypes.c_double]
@@ -1121,7 +1137,7 @@ class PendingUpdates:
         self._one_start = np.empty(1, dtype=np.int64)
         self._two_rows = np.empty(2, dtype=np.int64)
         self._two_starts = np.empty(2, dtype=np.int64)
-        # Profiling counters (read by benchmarks/bench_core_lstd.py).
+        # Profiling counters (read through kernel_stats()).
         self.enqueued = 0
         self.row_flushes = 0
         self.full_flushes = 0
@@ -1390,7 +1406,7 @@ class PendingUpdates:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Profiling snapshot (merged into BENCH_core.json by benches)."""
+        """Profiling snapshot (reported by ``SparseMatrix.kernel_stats``)."""
         meta: Dict[str, object] = {
             "backend": self.backend.name,
             "window": self.window,

@@ -146,6 +146,24 @@ class TestBackendSelection:
         assert len(records) == 1
         assert "compiled kernel loaded" in records[0].getMessage()
 
+    @needs_compiler
+    def test_corrupt_cached_object_is_rebuilt(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        library = kern._library_path()
+        (tmp_path / "cache").mkdir()
+        with open(library, "wb") as handle:
+            handle.write(b"not an object")
+        monkeypatch.setattr(kern, "_choice_logged", False)
+        with caplog.at_level(logging.INFO, logger="repro.core.kern"):
+            matrix = SparseMatrix(4, kernel="auto")
+        assert matrix.kernel_name == "c"
+        assert matrix.kernel_backend.library == library
+        messages = [record.getMessage() for record in caplog.records]
+        assert any("rebuilding" in message for message in messages)
+        assert not any("eager path" in message for message in messages)
+
     def test_library_path_is_keyed_on_cpu_identity(self, monkeypatch):
         monkeypatch.setattr(kern, "_cpu_identity", lambda: "x86_64 CPU A")
         first = kern._library_path()

@@ -1,11 +1,16 @@
 """Checkpoint/restart: bit-identity, periodic cadence, v1 compatibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.cloudsim.events import EventLog
+import repro
 from repro.core.agent import MeghScheduler
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
@@ -194,6 +199,64 @@ class TestAgentCheckpointV2:
             restored.lstd.retirements_applied
             == agent.lstd.retirements_applied
         )
+
+
+class TestCrashSafety:
+    """A process that dies mid-save leaves the previous checkpoint intact."""
+
+    #: Child process: reload the checkpoint, then save it again with a
+    #: payload whose last array kills the process while NumPy is
+    #: serialising it — after the archive's first members are written.
+    _CRASHING_SAVE = textwrap.dedent(
+        """
+        import os
+        import sys
+
+        from repro.core import checkpoint
+
+        class Crash:
+            def __array__(self, dtype=None, copy=None):
+                os._exit(17)
+
+        path = sys.argv[1]
+        agent = checkpoint.load_agent(path)
+        build = checkpoint._agent_payload
+        checkpoint._agent_payload = lambda a: {**build(a), "zz_crash": Crash()}
+        checkpoint.save_agent(agent, path)
+        """
+    )
+
+    def test_crash_mid_save_keeps_previous_checkpoint(self, tmp_path):
+        sim = build_planetlab_simulation(
+            num_pms=6, num_vms=8, num_steps=30, seed=4
+        )
+        agent = MeghScheduler.from_simulation(sim, seed=4)
+        sim.run(agent)
+        path = str(tmp_path / "agent.npz")
+        save_agent(agent, path)
+        with np.load(path, allow_pickle=False) as data:
+            before = {key: data[key] for key in data.files}
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (source, env.get("PYTHONPATH")))
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", self._CRASHING_SAVE, path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 17, child.stderr
+
+        restored = load_agent(path)
+        assert restored.lstd.updates_applied == agent.lstd.updates_applied
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == sorted(before)
+            for key, array in before.items():
+                assert np.array_equal(data[key], array), key
 
 
 class TestV1Compatibility:
