@@ -9,9 +9,11 @@ project invariants:
 * a rule registry (:mod:`repro.analysis.rules`) with the MEGH rule set
   (unseeded randomness, wall-clock reads, float equality, mutable
   defaults, missing seed plumbing, swallowed exceptions);
-* a whole-program flow pass (:mod:`repro.analysis.flow`, "meghflow")
-  checking RNG provenance, dirty-flag invalidation, and dtype/axis
-  discipline across module boundaries (MEGH010–MEGH012);
+* three whole-program passes over one shared project model: meghflow
+  (:mod:`repro.analysis.flow`, MEGH011 dirty-flag invalidation),
+  meghpar (:mod:`repro.analysis.par`, MEGH014–MEGH018 process safety)
+  and meghshape (:mod:`repro.analysis.shape`, MEGH012 dtype/axis
+  discipline and MEGH019–MEGH023 shapes and the kernel ABI);
 * an engine (:mod:`repro.analysis.engine`) that walks files, parses each
   module once for every pass, applies the rules, honours
   ``# meghlint: ignore[RULE] -- reason`` suppressions, and reports

@@ -7,16 +7,17 @@ unchanged.  The cache keys *results* — never parses — on content:
   per-file pass's findings, suppressed count, and which suppression
   lines fired (so MEGH013 stays exact on replay);
 * **whole-program**: one entry keyed over the sorted (path, SHA-256)
-  set of every parsed module, because a flow/par finding in file A can
-  be caused by an edit in file B — any change anywhere invalidates it.
+  set of every parsed module, because a whole-program finding in file
+  A can be caused by an edit in file B — any change anywhere
+  invalidates it.
 
 Every file is still *parsed* on every run: the whole-program pass needs
 all ASTs regardless, and the parse-once discipline (one ``ast.parse``
 per file per invocation) is the invariant the engine's tests pin.  What
 a hit skips is rule execution.
 
-The config fingerprint folds in ``select``/``ignore``/``flow``/``par``/
-``shape`` *and* a toolchain hash over every source file of
+The config fingerprint folds in ``select``/``ignore`` *and* a
+toolchain hash over every source file of
 ``repro.analysis`` itself — the per-file rules, meghflow, meghpar, and
 meghshape alike — so editing any analyzer module invalidates the whole
 cache: a stale result can never outlive the code that produced it.
@@ -42,7 +43,7 @@ __all__ = ["CACHE_FILE_NAME", "CACHE_VERSION", "FileRecord", "LintCache"]
 CACHE_FILE_NAME = "meghlint-cache.json"
 CACHE_VERSION = 1
 
-#: Key under which the whole-program (flow + par) record is stored.
+#: Key under which the whole-program (flow + par + shape) record is stored.
 _WHOLE_PROGRAM_KEY = "__whole_program__"
 
 
@@ -144,17 +145,11 @@ class LintCache:
         self,
         select: Optional[Sequence[str]],
         ignore: Optional[Sequence[str]],
-        flow: bool,
-        par: bool,
-        shape: bool,
     ) -> str:
         """Fold the rule selection and the analyzer sources into one key."""
         document = {
             "select": sorted(select) if select is not None else None,
             "ignore": sorted(ignore) if ignore is not None else None,
-            "flow": flow,
-            "par": par,
-            "shape": shape,
             "toolchain": self._toolchain,
         }
         return _sha256_text(json.dumps(document, sort_keys=True))

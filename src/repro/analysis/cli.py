@@ -69,27 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow pass (MEGH010-MEGH012)",
-    )
-    parser.add_argument(
-        "--no-par",
-        action="store_true",
-        help=(
-            "skip the meghpar determinism/process-safety pass "
-            "(MEGH014-MEGH018)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shape",
-        action="store_true",
-        help=(
-            "skip the meghshape symbolic-shape/ABI pass "
-            "(MEGH019-MEGH023)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -169,9 +148,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         config = LintConfig(
             select=_split_rule_ids(args.select),
             ignore=_split_rule_ids(args.ignore),
-            flow=not args.no_flow,
-            par=not args.no_par,
-            shape=not args.no_shape,
         )
         config.validate()  # fail on unknown ids before touching the fs
         previous: Optional[Baseline] = None

@@ -13,8 +13,9 @@ first lines contain ``# meghlint: skip-file`` is not linted at all
 
 Each module is parsed **once**: the same :class:`ParsedModule` (AST +
 suppression table) feeds both the per-file rules (MEGH001–MEGH009) and
-the whole-program flow pass (MEGH010–MEGH012, see
-:mod:`repro.analysis.flow`), which :func:`lint_paths` runs over all
+the whole-program passes — meghflow (MEGH011, see
+:mod:`repro.analysis.flow`), meghpar (MEGH014–MEGH018) and meghshape
+(MEGH012, MEGH019–MEGH023) — which :func:`lint_paths` runs over all
 parsed modules together.  Suppression comments are found with
 :mod:`tokenize` so suppression-like text inside docstrings and string
 literals is never mistaken for a directive — and every real directive
@@ -34,12 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.cache import FileRecord, LintCache
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
-from repro.analysis.flow import (
-    FLOW_RULES,
-    build_call_graph,
-    build_project,
-    run_flow,
-)
+from repro.analysis.flow import FLOW_RULES, build_project, run_flow
 from repro.analysis.par import PAR_RULES, run_par
 from repro.analysis.rules import Rule, RuleContext, build_rules
 from repro.analysis.shape import SHAPE_RULES, run_shape
@@ -92,18 +88,6 @@ class LintConfig:
 
     select: Optional[Sequence[str]] = None
     ignore: Optional[Sequence[str]] = None
-    #: Run the whole-program flow pass (MEGH010–MEGH012) in
-    #: :func:`lint_paths`.  Per-file entry points never run it: flow
-    #: facts only make sense over a whole project.
-    flow: bool = True
-    #: Run the meghpar determinism/process-safety pass (MEGH014–MEGH018)
-    #: in :func:`lint_paths`.  Shares the flow pass's project model and
-    #: call graph — both passes see the same instances.
-    par: bool = True
-    #: Run the meghshape symbolic-shape/ABI pass (MEGH019–MEGH023) in
-    #: :func:`lint_paths`.  Consumes the same project model as the flow
-    #: and par passes (parse-once, resolve-once).
-    shape: bool = True
     #: Directory names never descended into.
     excluded_dirs: Sequence[str] = (
         ".git",
@@ -426,24 +410,16 @@ def lint_paths(
     """Lint every ``.py`` file under the given files/directories.
 
     This is the whole-program entry point: after the per-file rules it
-    runs the flow pass (unless ``config.flow`` is off), the meghpar
-    pass (unless ``config.par`` is off), and the meghshape pass
-    (unless ``config.shape`` is off) over the same ASTs — sharing one
-    project model and call graph between them — applies line
-    suppressions to their findings too, and finally reports directives
-    that never fired.
+    runs the meghflow, meghpar and meghshape passes over the same ASTs
+    — sharing one project model between them, built only when one of
+    their rules is selected — applies line suppressions to their
+    findings too, and finally reports directives that never fired.
     """
     config = config or LintConfig()
     config.validate()
     result = LintResult()
     fingerprint = (
-        cache.config_fingerprint(
-            config.select,
-            config.ignore,
-            config.flow,
-            config.par,
-            config.shape,
-        )
+        cache.config_fingerprint(config.select, config.ignore)
         if cache is not None
         else ""
     )
@@ -492,7 +468,13 @@ def lint_paths(
                     },
                 ),
             )
-    if config.flow or config.par or config.shape:
+    select, ignore = config.flow_rule_sets()
+    enabled = set(FLOW_RULES) | set(PAR_RULES) | set(SHAPE_RULES)
+    if select is not None:
+        enabled &= select
+    if ignore is not None:
+        enabled -= ignore
+    if enabled:
         by_path = {module.path: module for module in modules}
         whole_record: Optional[FileRecord] = None
         project_sha = ""
@@ -514,55 +496,15 @@ def lint_paths(
                 for module in modules
                 if module.tree is not None and not module.skipped
             ]
-            select, ignore = config.flow_rule_sets()
-            enabled: Set[str] = set()
-            if config.flow:
-                enabled |= set(FLOW_RULES)
-            if config.par:
-                enabled |= set(PAR_RULES)
-            if config.shape:
-                enabled |= set(SHAPE_RULES)
-            if select is not None:
-                enabled &= select
-            if ignore is not None:
-                enabled -= ignore
-            # Build the project model and call graph once; meghflow and
-            # meghpar both consume the same instances (parse-once
-            # extends to resolve-once).
-            project = build_project(flow_input) if enabled else None
-            graph = (
-                build_call_graph(project) if project is not None else None
-            )
+            # Build the project model once; every pass consumes the same
+            # instance (parse-once extends to resolve-once).  meghpar
+            # builds the call graph it alone needs, and only when one
+            # of its rules is enabled.
+            project = build_project(flow_input)
             whole_program: List[Diagnostic] = []
-            if config.flow:
+            for run_pass in (run_flow, run_par, run_shape):
                 whole_program.extend(
-                    run_flow(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
-                )
-            if config.par:
-                whole_program.extend(
-                    run_par(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
-                )
-            if config.shape:
-                whole_program.extend(
-                    run_shape(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
+                    run_pass(flow_input, select, ignore, project=project)
                 )
             used_before_all = {
                 module.path: {

@@ -1,25 +1,20 @@
-"""meghflow — whole-program dataflow analysis for the Megh reproduction.
+"""meghflow — the shared project model and the MEGH011 dataflow rule.
 
 Where the per-file meghlint rules (MEGH001–MEGH009) pattern-match one
-AST at a time, the flow pass builds a project model — symbol table,
-call graph, light local types — across *all* files handed to one lint
-invocation, and checks three properties that only hold (or break)
+AST at a time, the whole-program passes need a project model — symbol
+table, import resolution, light local types — across *all* files
+handed to one lint invocation.  This package builds that model once
+(:func:`build_project`) for meghflow, meghpar and meghshape alike, and
+the call graph (:func:`build_call_graph`) that meghpar consumes.
+
+meghflow itself checks one property that only holds (or breaks)
 whole-program:
 
-``MEGH010``
-    RNG provenance: an unseeded ``numpy.random.Generator`` /
-    ``random.Random`` created anywhere must not flow — through calls,
-    returns, dataclass fields, or attribute stores — into
-    ``repro.cloudsim`` / ``repro.core`` / ``repro.workloads``.
 ``MEGH011``
     Dirty-flag invalidation: every mutation of a declared
     lazily-aggregated field (``DatacenterArrays`` vectors,
     ``SparseMatrix`` backing store, ``RewardVector`` storage) must set
     its paired flag / bump its counter on every path to function exit.
-``MEGH012``
-    dtype/axis discipline in ``repro.core`` / ``repro.cloudsim``:
-    canonical dtypes only, no N-vs-M broadcasts, no silent int/float
-    mixing, no Python-scalar reductions over ndarrays.
 
 The entry point is :func:`run_flow`, invoked by the lint engine with
 the modules it already parsed (parse-once: the same ASTs feed the
@@ -40,12 +35,8 @@ from repro.analysis.flow.callgraph import (
     build_call_graph,
 )
 from repro.analysis.flow.dirty import check_dirty_flags
-from repro.analysis.flow.dtypes import check_dtype_discipline
 from repro.analysis.flow.invariants import (
-    FIELD_TYPES,
-    METHOD_TYPES,
     MUTATION_INVARIANTS,
-    ArrayType,
     MutationInvariant,
 )
 from repro.analysis.flow.project import (
@@ -55,7 +46,6 @@ from repro.analysis.flow.project import (
     Project,
     build_project,
 )
-from repro.analysis.flow.rng import check_rng_provenance
 
 __all__ = [
     "FLOW_RULES",
@@ -71,32 +61,17 @@ __all__ = [
     "build_call_graph",
     "MutationInvariant",
     "MUTATION_INVARIANTS",
-    "ArrayType",
-    "FIELD_TYPES",
-    "METHOD_TYPES",
-    "check_rng_provenance",
     "check_dirty_flags",
-    "check_dtype_discipline",
 ]
 
 #: rule id -> (default severity, one-line summary). The registry the
 #: engine/CLI consult for ``--select``/``--ignore`` validation and
 #: ``--list-rules`` output.
 FLOW_RULES: Dict[str, Tuple[Severity, str]] = {
-    "MEGH010": (
-        Severity.ERROR,
-        "unseeded RNG flows into repro.cloudsim/core/workloads "
-        "(whole-program taint)",
-    ),
     "MEGH011": (
         Severity.ERROR,
         "lazily-aggregated field mutated without setting its paired "
         "dirty flag / counter on every path",
-    ),
-    "MEGH012": (
-        Severity.ERROR,
-        "dtype/axis discipline in hot paths: non-canonical dtypes, "
-        "N-vs-M broadcasts, int/float mixing, Python reductions",
     ),
 }
 
@@ -106,17 +81,16 @@ def run_flow(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
 ) -> List[Diagnostic]:
-    """Run the enabled flow rules over already-parsed modules.
+    """Run MEGH011 over already-parsed modules, unless deselected.
 
     ``parsed`` pairs each path with the AST the engine produced for the
     per-file rules — the flow pass never re-parses.  ``select`` /
     ``ignore`` carry the same semantics as the per-file engine: when
     ``select`` is given only those rule ids run; ``ignore`` always
-    subtracts.  ``project``/``graph`` let the engine share one project
-    model and call graph across this pass and meghpar (build-once);
-    when omitted they are built here from ``parsed``.
+    subtracts.  ``project`` lets the engine share one project model
+    across every whole-program pass (build-once); when omitted it is
+    built here from ``parsed``.
     """
     enabled = set(FLOW_RULES)
     if select is not None:
@@ -127,13 +101,4 @@ def run_flow(
         return []
     if project is None:
         project = build_project(parsed)
-    diagnostics: List[Diagnostic] = []
-    if "MEGH010" in enabled:
-        if graph is None:
-            graph = build_call_graph(project)
-        diagnostics.extend(check_rng_provenance(project, graph))
-    if "MEGH011" in enabled:
-        diagnostics.extend(check_dirty_flags(project))
-    if "MEGH012" in enabled:
-        diagnostics.extend(check_dtype_discipline(project))
-    return diagnostics
+    return check_dirty_flags(project)

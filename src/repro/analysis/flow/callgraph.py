@@ -1,30 +1,21 @@
-"""Call graph and light local type inference for meghflow.
+"""Call graph and light local type inference for the whole-program passes.
 
 For every analyzable body the graph records each call expression with
 the fully qualified callee it resolves to (or ``None``): module-local
 functions, imported symbols, ``self.method()`` dispatch through the
 class (and project-local bases), constructor calls, and method calls on
 locals whose class is known from a constructor assignment or an
-annotation.  On top of the edges it offers memoized *package
-reachability* — "can anything this function calls, transitively, land
-inside ``repro.cloudsim``?" — which MEGH010 uses to decide whether a
-tainted value handed to an intermediate helper ultimately reaches the
-simulator.
+annotation.  meghpar walks these edges to compute the set of functions
+reachable from the execution engine's worker entry points.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.analysis.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    dotted_name,
-)
+from repro.analysis.flow.project import FunctionInfo, Project, dotted_name
 
 __all__ = ["CallSite", "CallGraph", "LocalTypes", "build_call_graph"]
 
@@ -43,7 +34,7 @@ class CallSite:
 class LocalTypes:
     """Class types of local names, from constructors and annotations.
 
-    Tracks only what the flow rules need: ``x = SomeClass(...)``,
+    Tracks only what call resolution needs: ``x = SomeClass(...)``,
     ``x: SomeClass``, parameter annotations, and ``self`` (typed as the
     enclosing class).  Everything else is unknown.
     """
@@ -161,63 +152,11 @@ def resolve_call(
 
 @dataclass
 class CallGraph:
-    """Resolved call sites per function plus package reachability."""
+    """Resolved call sites and internal call edges per function."""
 
     project: Project
     sites: Dict[str, List[CallSite]] = field(default_factory=dict)
     edges: Dict[str, Set[str]] = field(default_factory=dict)
-    _caches: Dict[Tuple[str, ...], Dict[str, Optional[str]]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def callsites(self, qualname: str) -> List[CallSite]:
-        return self.sites.get(qualname, [])
-
-    def reaches_package(
-        self,
-        qualname: str,
-        prefixes: Sequence[str],
-        _cache: Optional[Dict[str, Optional[str]]] = None,
-        _stack: Optional[Set[str]] = None,
-    ) -> Optional[str]:
-        """A witness qualname inside ``prefixes`` reachable from here.
-
-        Returns the first (deterministically ordered) reachable project
-        symbol whose qualname starts with one of the prefixes, or
-        ``None``.  Recursion through cycles terminates via the visiting
-        stack; results are memoized per graph instance.
-        """
-        cache = _cache if _cache is not None else self._reach_cache(prefixes)
-        if qualname in cache:
-            return cache[qualname]
-        stack = _stack if _stack is not None else set()
-        if qualname in stack:
-            return None
-        stack.add(qualname)
-        witness: Optional[str] = None
-        for callee in sorted(self.edges.get(qualname, ())):
-            if _matches_prefix(callee, prefixes):
-                witness = callee
-                break
-            found = self.reaches_package(callee, prefixes, cache, stack)
-            if found is not None:
-                witness = found
-                break
-        stack.discard(qualname)
-        cache[qualname] = witness
-        return witness
-
-    def _reach_cache(
-        self, prefixes: Sequence[str]
-    ) -> Dict[str, Optional[str]]:
-        return self._caches.setdefault(tuple(prefixes), {})
-
-
-def _matches_prefix(qualname: str, prefixes: Sequence[str]) -> bool:
-    return any(
-        qualname == prefix or qualname.startswith(prefix + ".")
-        for prefix in prefixes
-    )
 
 
 def build_call_graph(project: Project) -> CallGraph:

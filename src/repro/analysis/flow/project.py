@@ -1,8 +1,9 @@
-"""Project model for meghflow: modules, symbols, and name resolution.
+"""Project model for the whole-program passes: modules, symbols, names.
 
 meghlint's per-file rules (MEGH001–009) see one ``ast.Module`` at a
-time; the flow rules (MEGH010–012) are properties of *call graphs and
-def-use chains* that span modules.  This module builds the shared
+time; the whole-program rules (MEGH011, MEGH012, MEGH014–023) are
+properties of *call graphs, def-use chains and declared tables* that
+span modules.  This module builds the shared
 substrate: a :class:`Project` holding every parsed module exactly once
 (the engine hands over the ASTs it already parsed — nothing is re-read
 or re-parsed), a per-module import table, and a symbol table of
@@ -11,8 +12,8 @@ qualified dotted name.
 
 Resolution is deliberately conservative: a name that cannot be traced
 to a project symbol or a recognized external (``numpy.random.*``,
-``random.Random``) resolves to ``None`` and the flow rules stay silent
-about it.  False silence is acceptable; false noise is not.
+``random.Random``) resolves to ``None`` and the whole-program rules
+stay silent about it.  False silence is acceptable; false noise is not.
 """
 
 from __future__ import annotations

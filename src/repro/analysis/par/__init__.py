@@ -6,9 +6,10 @@ strong as the code workers execute: a global write, an unordered
 iteration, an unpicklable spec argument, an order-sensitive float
 reduction, or a wall-clock read anywhere in the worker-reachable call
 graph breaks it in ways the runtime differential tests catch late or
-not at all.  meghpar proves the hazards absent statically, reusing
-meghflow's project model and call graph (parse-once: the same ASTs and
-the same graph instances feed MEGH010–012 and MEGH014–018).
+not at all.  meghpar proves the hazards absent statically over the
+project model every whole-program pass shares (parse-once: the same
+ASTs and the same project instance feed MEGH011, MEGH012 and
+MEGH014–023), plus the call graph that only meghpar needs.
 
 ``MEGH014``
     shared-state mutation: writes to module-level globals or class
@@ -27,12 +28,11 @@ the same graph instances feed MEGH010–012 and MEGH014–018).
     ``repro.core``/``repro.cloudsim`` (complements MEGH011/012).
 ``MEGH018``
     worker resource hygiene: wall-clock, ``os.urandom``, environment
-    reads in worker-reachable code (MEGH002/010 across the process
+    reads in worker-reachable code (MEGH001/002 across the process
     boundary).
 
 The entry point is :func:`run_par`, invoked by the lint engine with the
-modules it already parsed and — when the flow pass also ran — the very
-project/graph instances meghflow used.
+modules it already parsed and the shared project model.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import CallGraph, build_call_graph
+from repro.analysis.flow.callgraph import build_call_graph
 from repro.analysis.flow.project import Project, build_project
 from repro.analysis.par.float_reduction import check_float_reduction
 from repro.analysis.par.hygiene import check_hygiene
@@ -107,15 +107,15 @@ def run_par(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
 ) -> List[Diagnostic]:
     """Run the enabled meghpar rules over already-parsed modules.
 
     Mirrors :func:`repro.analysis.flow.run_flow`: ``parsed`` pairs each
     path with the AST the engine produced for the per-file rules,
     ``select``/``ignore`` carry the engine's semantics, and
-    ``project``/``graph`` let the engine hand over the instances
-    meghflow already built so nothing is parsed or resolved twice.
+    ``project`` lets the engine hand over the model the other passes
+    share so nothing is parsed or resolved twice.  The call graph is
+    meghpar's alone, so it is built here, and only when a rule runs.
     """
     enabled = set(PAR_RULES)
     if select is not None:
@@ -126,9 +126,7 @@ def run_par(
         return []
     if project is None:
         project = build_project(parsed)
-    if graph is None:
-        graph = build_call_graph(project)
-    context = build_worker_context(project, graph)
+    context = build_worker_context(project, build_call_graph(project))
     diagnostics: List[Diagnostic] = []
     if "MEGH014" in enabled:
         diagnostics.extend(check_shared_state(project, context))

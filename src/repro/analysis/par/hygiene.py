@@ -3,8 +3,8 @@
 A worker that reads the wall clock, the OS entropy pool, or the
 environment injects per-process, per-run state into a job whose cache
 key claims the computation is fully described by its spec.  MEGH002
-(wall-clock) and MEGH010 (RNG provenance) already police single-process
-code; this rule extends the discipline across the process boundary,
+(wall-clock) and MEGH001 (unseeded randomness) already police
+single-process code; this rule extends the discipline across the process boundary,
 where the damage is worse: under spawn each worker re-imports modules
 and re-reads the environment independently, so even "constant" ambient
 reads can disagree between workers.

@@ -2,7 +2,9 @@
 
 Each rule targets a way a change could silently break the reproduction:
 
-* **MEGH001** — unseeded randomness destroys run-to-run determinism;
+* **MEGH001** — unseeded randomness destroys run-to-run determinism:
+  process-global RNG calls, and any RNG constructor called without a
+  seed, however the module imported it;
 * **MEGH002** — wall-clock reads leak host time into simulated results;
 * **MEGH003** — float ``==``/``!=`` hides accumulation dust (Sherman–
   Morrison updates leave ~1e-16 residue exactly where naive code expects
@@ -109,7 +111,21 @@ def walk_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
 # MEGH001 — unseeded randomness
 # ----------------------------------------------------------------------
 
-#: Legacy global-state numpy entry points that bypass seed plumbing.
+#: RNG constructors that draw OS entropy when called with no arguments.
+UNSEEDED_FACTORIES = frozenset(
+    {
+        "numpy.random.default_rng",
+        "numpy.random.RandomState",
+        "numpy.random.PCG64",
+        "numpy.random.PCG64DXSM",
+        "numpy.random.Philox",
+        "numpy.random.MT19937",
+        "numpy.random.SFC64",
+        "random.Random",
+    }
+)
+
+#: ``numpy.random`` names that are not the process-global RNG.
 _SAFE_NP_RANDOM = {
     "default_rng",
     "Generator",
@@ -148,6 +164,27 @@ _BANNED_STDLIB_RANDOM = {
 }
 
 
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> the dotted module or symbol an import binds to it.
+
+    ``import numpy.random as npr`` maps ``npr`` to ``numpy.random``;
+    ``from numpy.random import default_rng`` maps ``default_rng`` to
+    ``numpy.random.default_rng``.  ``np`` means numpy unless rebound.
+    """
+    aliases = {"np": "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    return aliases
+
+
 @register
 class UnseededRandomnessRule(Rule):
     """MEGH001: module-level RNG calls instead of an injected Generator."""
@@ -160,25 +197,23 @@ class UnseededRandomnessRule(Rule):
     )
 
     def check(self, context: RuleContext) -> Iterator[Diagnostic]:
+        aliases = _import_aliases(context.tree)
         for node, name in walk_calls(context.tree):
             if name is None:
                 continue
-            parts = name.split(".")
-            if (
-                len(parts) == 3
-                and parts[0] in ("np", "numpy")
-                and parts[1] == "random"
-            ):
-                if parts[2] == "default_rng":
-                    if not node.args and not node.keywords:
-                        yield self.diagnostic(
-                            context,
-                            node,
-                            "np.random.default_rng() without a seed draws "
-                            "OS entropy; pass a seed (or SeedSequence) so "
-                            "runs are reproducible",
-                        )
-                elif parts[2] not in _SAFE_NP_RANDOM:
+            head, _, rest = name.partition(".")
+            resolved = aliases.get(head, head) + ("." + rest if rest else "")
+            parts = resolved.split(".")
+            if resolved in UNSEEDED_FACTORIES:
+                if not node.args and not node.keywords:
+                    yield self.diagnostic(
+                        context,
+                        node,
+                        f"{name}() without a seed draws OS entropy; pass "
+                        "a seed (or SeedSequence) so runs are reproducible",
+                    )
+            elif len(parts) == 3 and parts[:2] == ["numpy", "random"]:
+                if parts[2] not in _SAFE_NP_RANDOM:
                     yield self.diagnostic(
                         context,
                         node,

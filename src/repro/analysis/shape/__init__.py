@@ -9,10 +9,14 @@ dtype drift across the Python/C kernel boundary, a non-contiguous view
 handed to the kernel as a raw pointer.  meghshape interprets each hot
 function over a symbolic-shape domain (named dimensions ``N`` VMs,
 ``M`` PMs, ``K`` candidate rows, ``W`` window, ``d`` basis — see
-:mod:`repro.analysis.shape.dims`) seeded from declared tables that
-extend meghflow's ``FIELD_TYPES``/``METHOD_TYPES``, and proves five
+:mod:`repro.analysis.shape.dims`) seeded from the declared
+``SHAPE_FIELD_TYPES``/``SHAPE_METHOD_TYPES`` tables, and proves six
 properties:
 
+``MEGH012``
+    dtype/axis discipline: canonical dtypes only, no per-VM vs per-PM
+    broadcasts, no silent int64/float64 mixing or truncating stores,
+    no Python-scalar reductions over ndarrays.
 ``MEGH019``
     broadcast-rank mismatch: symbolic shapes that conflict outright,
     or align only by an implicit rank promotion not declared
@@ -34,8 +38,8 @@ properties:
     view of the same base is read with a different region expression.
 
 The entry point is :func:`run_shape`, invoked by the lint engine with
-the modules it already parsed and — when the flow/par passes also ran —
-the very project/graph instances they used (parse-once, resolve-once).
+the modules it already parsed and the project model the other
+whole-program passes share (parse-once, resolve-once).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import Project, build_project
 from repro.analysis.shape.abi import (
     AbiCertificate,
@@ -82,6 +85,11 @@ __all__ = [
 #: engine/CLI for ``--select``/``--ignore`` validation and
 #: ``--list-rules`` output, exactly like ``FLOW_RULES``/``PAR_RULES``.
 SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
+    "MEGH012": (
+        Severity.ERROR,
+        "dtype/axis discipline in hot paths: non-canonical dtypes, "
+        "N-vs-M broadcasts, int/float mixing, Python reductions",
+    ),
     "MEGH019": (
         Severity.ERROR,
         "broadcast-rank mismatch: symbolic shapes conflict or align only "
@@ -109,7 +117,9 @@ SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
     ),
 }
 
-_INTERPRETER_RULES = frozenset({"MEGH019", "MEGH020", "MEGH022", "MEGH023"})
+_INTERPRETER_RULES = frozenset(
+    {"MEGH012", "MEGH019", "MEGH020", "MEGH022", "MEGH023"}
+)
 
 
 def run_shape(
@@ -117,19 +127,14 @@ def run_shape(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
 ) -> List[Diagnostic]:
     """Run the enabled meghshape rules over already-parsed modules.
 
-    Mirrors :func:`repro.analysis.flow.run_flow` /
-    :func:`repro.analysis.par.run_par`: ``parsed`` pairs each path with
-    the AST the engine produced for the per-file rules, and
-    ``project``/``graph`` let the engine hand over the instances the
-    other whole-program passes built so nothing is parsed or resolved
-    twice.  (``graph`` is accepted for interface parity; the shape
-    rules only need the symbol table.)
+    Mirrors :func:`repro.analysis.flow.run_flow`: ``parsed`` pairs each
+    path with the AST the engine produced for the per-file rules, and
+    ``project`` lets the engine hand over the model the other
+    whole-program passes use so nothing is parsed or resolved twice.
     """
-    del graph  # parity with run_flow/run_par; shapes need no call graph
     enabled = set(SHAPE_RULES)
     if select is not None:
         enabled &= select

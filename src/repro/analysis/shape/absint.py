@@ -1,4 +1,4 @@
-"""MEGH019/020/022/023 — symbolic shape abstract interpretation.
+"""MEGH012/019/020/022/023 — symbolic shape abstract interpretation.
 
 Each function body in the hot packages is interpreted over the
 :class:`~repro.analysis.shape.dims.ShapeInfo` domain: arrays carry a
@@ -7,9 +7,27 @@ tuple of named dimension symbols (``N``, ``M``, ``K``, ``W``, ``d``,
 the declared tables (``SHAPE_FIELD_TYPES`` / ``SHAPE_METHOD_TYPES``)
 and the parameter contracts (``SHAPE_CONTRACTS``), then propagated
 through indexing, ``np.*`` factories, gathers (``searchsorted`` /
-``bincount``), reductions, ufuncs, and arithmetic.  Four rules ride on
+``bincount``), reductions, ufuncs, and arithmetic.  Five rules ride on
 the propagated facts:
 
+``MEGH012``
+    dtype/axis discipline.  The hot paths are bit-equal to their
+    reference implementations only while every array keeps its
+    canonical dtype (float64 state, int64 ids/counts, bool masks) and
+    elementwise work pairs same-axis vectors.  Checks:
+
+    ``A`` array created with a non-canonical dtype (``float32``,
+          ``int32``, platform ``int``/``intc``/``intp``, ``uint8``, …)
+          — error.
+    ``B`` elementwise arithmetic, comparison or ufunc between a per-VM
+          ``(N,)`` and a per-PM ``(M,)`` vector — error (it raises on
+          unlucky sizes, or silently "works" when N == M in a test).
+    ``C`` arithmetic mixing an int64 array with a float64 array (the
+          implicit upcast is a bit-identity hazard) — warning.
+    ``D`` a float stored in place into an int64 array (silent
+          truncation) — error.
+    ``E`` built-in ``sum``/``min``/``max`` over an ndarray (a Python
+          scalar loop that reassociates the reduction) — warning.
 ``MEGH019``
     broadcast-rank mismatch.  Trailing-aligned symbolic dims that
     conflict outright are errors; an implicit rank promotion (a
@@ -33,10 +51,8 @@ the propagated facts:
     operand onto itself (identical expression) is well-defined and
     stays silent.
 
-The interpretation is flow-insensitive within a statement walk exactly
-like MEGH012 (:mod:`repro.analysis.flow.dtypes`) — deliberate: the hot
-paths are straight-line array code, and the shared imprecision keeps
-the two passes' verdicts consistent.
+The interpretation is flow-insensitive within a statement walk —
+deliberate: the hot paths are straight-line array code.
 """
 
 from __future__ import annotations
@@ -45,7 +61,6 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.dtypes import HOT_PREFIXES, _in_hot_package
 from repro.analysis.flow.project import FunctionInfo, Project, dotted_name
 from repro.analysis.shape.dims import (
     DIM_SIZE_NAMES,
@@ -58,7 +73,43 @@ from repro.analysis.shape.dims import (
     render_dims,
 )
 
-__all__ = ["check_shapes", "HOT_PREFIXES"]
+__all__ = ["check_shapes", "in_hot_package", "HOT_PREFIXES"]
+
+#: Packages whose arithmetic is bit-identity-critical.
+HOT_PREFIXES = ("repro.core", "repro.cloudsim")
+
+#: dtype spellings never acceptable in hot-path array creation
+#: (MEGH012 check A), with the reason shown in the message.
+_BAD_DTYPES = {
+    "float32": "float32",
+    "float16": "float16",
+    "int32": "int32",
+    "int16": "int16",
+    "int8": "int8",
+    "uint8": "uint8",
+    "uint16": "uint16",
+    "uint32": "uint32",
+    "uint64": "uint64",
+    "int": "platform int",
+    "int_": "platform int",
+    "intc": "platform int (C int)",
+    "intp": "platform int (pointer width)",
+    "uint": "platform unsigned int",
+    "float": "python float (use float64 explicitly)",
+}
+
+#: Python builtins that reduce an iterable with a scalar loop.
+_PY_REDUCTIONS = frozenset({"sum", "min", "max"})
+
+#: Binary operators whose int64/float64 mix MEGH012 check C reports
+#: (true division and power always produce floats by design).
+_UPCAST_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)
+
+_ELEMENTWISE_AXIS_MIX = (
+    "elementwise op between a per-VM (N) and a per-PM (M) vector "
+    "broadcasts incompatibly (or silently 'works' when N == M); gather "
+    "via host_of or aggregate first"
+)
 
 #: numpy factories producing a fresh owned C-contiguous buffer.
 _OWNING_FACTORIES = frozenset({"zeros", "empty", "ones", "full"})
@@ -97,14 +148,20 @@ _REDUCTIONS = frozenset(
      "argmax", "argmin"}
 )
 
-#: Binary AST operators treated as elementwise (extends MEGH012's set
-#: with the bitwise mask operators ``& | ^``).
+#: Binary AST operators treated as elementwise (arithmetic plus the
+#: bitwise mask operators ``& | ^``).
 _ELEMENTWISE_OPS = (
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
     ast.Pow, ast.BitAnd, ast.BitOr, ast.BitXor,
 )
 
-_INT_DTYPES = frozenset({"int64", "int32", "int16", "int8", "uint8", "int"})
+
+def in_hot_package(function: FunctionInfo, prefixes: Sequence[str]) -> bool:
+    module = function.module.name
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
 
 
 def _is_numpy_call(dotted: str) -> bool:
@@ -112,17 +169,51 @@ def _is_numpy_call(dotted: str) -> bool:
     return head in ("np", "numpy")
 
 
-def _dtype_text(expression: ast.expr) -> Optional[str]:
+def _dtype_spelling(expression: ast.expr) -> Optional[str]:
+    """A dtype argument as written: ``np.int32``, ``"float64"``, ``int``."""
     name = dotted_name(expression)
     if name is not None:
-        return name.rsplit(".", 1)[-1]
+        return name
     if isinstance(expression, ast.Constant) and isinstance(
         expression.value, str
     ):
         return expression.value
-    if isinstance(expression, ast.Name):
-        return expression.id
     return None
+
+
+def _is_float_literal(expression: ast.expr) -> bool:
+    if isinstance(expression, ast.UnaryOp):
+        expression = expression.operand
+    return isinstance(expression, ast.Constant) and isinstance(
+        expression.value, float
+    )
+
+
+def _is_axis_mix(a: Optional[ShapeInfo], b: Optional[ShapeInfo]) -> bool:
+    """A 1-d per-VM vector against a 1-d per-PM vector (check B)."""
+    if a is None or b is None:
+        return False
+    return a.rank == b.rank == 1 and {a.dims[0], b.dims[0]} == {"N", "M"}
+
+
+def _is_constant_index(index: ast.expr) -> bool:
+    if isinstance(index, ast.UnaryOp):
+        index = index.operand
+    return isinstance(index, ast.Constant)
+
+
+def _axis_mix_message(context: str) -> str:
+    if context == "comparison":
+        return (
+            "comparison between a per-VM (N) and a per-PM (M) vector; "
+            "align axes explicitly (index by host_of or aggregate first)"
+        )
+    if context.startswith("np."):
+        return (
+            f"numpy.{context[3:]} mixes a per-VM (N) and a per-PM (M) "
+            "operand; align axes explicitly"
+        )
+    return _ELEMENTWISE_AXIS_MIX
 
 
 def _dims_compatible(a: str, b: str) -> bool:
@@ -217,6 +308,13 @@ class _FunctionShapes:
         ):
             left = self.shape_of(expression.left)
             right = self.shape_of(expression.right)
+            if not _is_axis_mix(left, right):
+                self._check_upcast(
+                    expression,
+                    expression.op,
+                    self._dtype_of(expression.left, left),
+                    self._dtype_of(expression.right, right),
+                )
             return self._broadcast(
                 expression, [left, right], "elementwise operation"
             )
@@ -238,6 +336,35 @@ class _FunctionShapes:
             return then if then is not None else self.shape_of(
                 expression.orelse
             )
+        return None
+
+    def _dtype_of(
+        self, expression: ast.expr, shape: Optional[ShapeInfo]
+    ) -> Optional[str]:
+        """Element dtype of ``expression``, whose inferred value is
+        ``shape``.  Kept where the shape is unknown: ``a[i]`` and
+        ``a[i] + 1`` still carry ``a``'s dtype (MEGH012 checks C–E)."""
+        if shape is not None:
+            return shape.dtype
+        if isinstance(expression, ast.Subscript):
+            if _is_constant_index(expression.slice):
+                return None
+            return self._dtype_of(
+                expression.value, self.shape_of(expression.value)
+            )
+        if isinstance(expression, ast.UnaryOp):
+            return self._dtype_of(expression.operand, None)
+        if isinstance(expression, ast.BinOp) and isinstance(
+            expression.op, _ELEMENTWISE_OPS
+        ):
+            # Unknown shape means neither operand's shape is known.
+            left = self._dtype_of(expression.left, None)
+            right = self._dtype_of(expression.right, None)
+            if left is None or right is None:
+                return left or right
+            if isinstance(expression.op, ast.Div):
+                return "float64"
+            return _combine_dtypes(left, right)
         return None
 
     def _shape_of_subscript(
@@ -313,6 +440,8 @@ class _FunctionShapes:
         method = (
             call.func.attr if isinstance(call.func, ast.Attribute) else None
         )
+        if isinstance(call.func, ast.Name) and call.func.id in _PY_REDUCTIONS:
+            self._check_python_reduction(call, call.func.id)
         if method in SHAPE_CONTRACTS and isinstance(call.func, ast.Attribute):
             self._check_contract_call(call, SHAPE_CONTRACTS[method])
         if method in SHAPE_METHOD_TYPES:
@@ -322,19 +451,19 @@ class _FunctionShapes:
             return None
         numpy_call = name is not None and _is_numpy_call(name)
         if numpy_call and tail in _OWNING_FACTORIES:
-            dtype = self._declared_dtype(call) or "float64"
+            dtype = self._creation_dtype(call) or "float64"
             dims = self._dims_from_shape_argument(call)
             return ShapeInfo(dims, dtype, True, True)
         if numpy_call and tail in _LIKE_FACTORIES:
             template = self.shape_of(call.args[0]) if call.args else None
-            dtype = self._declared_dtype(call)
+            dtype = self._creation_dtype(call)
             if template is None:
                 return (
                     ShapeInfo(("?",), dtype, True, True) if dtype else None
                 )
             return ShapeInfo(template.dims, dtype or template.dtype, True, True)
         if numpy_call and tail == "arange":
-            dtype = self._declared_dtype(call)
+            dtype = self._creation_dtype(call)
             if dtype is None:
                 self._report(
                     call,
@@ -349,10 +478,8 @@ class _FunctionShapes:
             return ShapeInfo(dims, dtype, True, True)
         if tail == "astype" and isinstance(call.func, ast.Attribute):
             base = self.shape_of(call.func.value)
-            dtype = (
-                _dtype_text(call.args[0])
-                if call.args
-                else self._declared_dtype(call)
+            dtype = self._creation_dtype(
+                call, call.args[0] if call.args else None
             )
             if dtype is None:
                 return None
@@ -360,7 +487,7 @@ class _FunctionShapes:
             return ShapeInfo(dims, dtype, True, True)
         if numpy_call and tail in {"ascontiguousarray", "asarray", "array"}:
             base = self.shape_of(call.args[0]) if call.args else None
-            dtype = self._declared_dtype(call)
+            dtype = self._creation_dtype(call)
             if base is not None:
                 # asarray of an array is a no-copy passthrough unless
                 # the dtype changes; keep the base's proofs in the
@@ -489,11 +616,29 @@ class _FunctionShapes:
             )
         return combined
 
-    def _declared_dtype(self, call: ast.Call) -> Optional[str]:
-        for keyword in call.keywords:
-            if keyword.arg == "dtype":
-                return _dtype_text(keyword.value)
-        return None
+    def _creation_dtype(
+        self, call: ast.Call, argument: Optional[ast.expr] = None
+    ) -> Optional[str]:
+        """The dtype an array-creating call names (``dtype=`` unless
+        ``argument`` is given), after MEGH012 check A on its spelling."""
+        if argument is None:
+            for keyword in call.keywords:
+                if keyword.arg == "dtype":
+                    argument = keyword.value
+        spelling = _dtype_spelling(argument) if argument is not None else None
+        if spelling is None:
+            return None
+        dtype = spelling.rsplit(".", 1)[-1]
+        if dtype in _BAD_DTYPES:
+            self._report(
+                call,
+                "MEGH012",
+                f"array created with non-canonical dtype {spelling!r} "
+                f"({_BAD_DTYPES[dtype]}) in a bit-identity-critical "
+                "module; use float64/int64/bool",
+                Severity.ERROR,
+            )
+        return dtype
 
     def _dim_of_size(self, size: ast.expr) -> str:
         if isinstance(size, ast.Attribute):
@@ -560,11 +705,11 @@ class _FunctionShapes:
         merged.reverse()
         if conflict is not None:
             da, db = conflict
-            skip = (
-                len(a) == len(b) == 1
-                and {da, db} == {"N", "M"}
-            )  # 1-d N-vs-M is MEGH012 check B's finding; don't double-report
-            if not skip:
+            if _is_axis_mix(left, right):
+                self._report(
+                    node, "MEGH012", _axis_mix_message(context), Severity.ERROR
+                )
+            else:
                 self._report(
                     node,
                     "MEGH019",
@@ -714,6 +859,102 @@ class _FunctionShapes:
                 Severity.ERROR,
             )
 
+    # -- MEGH012: upcasts, truncating stores, Python reductions ----------
+    def _check_upcast(
+        self,
+        node: ast.AST,
+        op: ast.operator,
+        left: Optional[str],
+        right: Optional[str],
+    ) -> None:
+        """Check C: arithmetic mixing an int64 and a float64 array."""
+        if isinstance(op, _UPCAST_OPS) and {left, right} == {
+            "int64",
+            "float64",
+        }:
+            self._report(
+                node,
+                "MEGH012",
+                "arithmetic mixes an int64 array with a float64 array; "
+                "the implicit upcast is a bit-identity hazard — convert "
+                "explicitly with .astype(np.float64)",
+                Severity.WARNING,
+            )
+
+    def _check_augmented(
+        self, node: ast.AugAssign, value: Optional[ShapeInfo]
+    ) -> None:
+        """Checks B and C for ``target op= value``."""
+        if not isinstance(node.op, _ELEMENTWISE_OPS):
+            return
+        target = self.shape_of(node.target)
+        if _is_axis_mix(target, value):
+            self._report(
+                node, "MEGH012", _ELEMENTWISE_AXIS_MIX, Severity.ERROR
+            )
+        else:
+            self._check_upcast(
+                node,
+                node.op,
+                self._dtype_of(node.target, target),
+                self._dtype_of(node.value, value),
+            )
+
+    def _check_truncating_store(
+        self,
+        node: ast.AST,
+        target: ast.expr,
+        value: ast.expr,
+        value_shape: Optional[ShapeInfo],
+    ) -> None:
+        """Check D: a float written in place into an int64 array."""
+        if not _is_float_literal(value) and (
+            self._dtype_of(value, value_shape) != "float64"
+        ):
+            return
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        elif isinstance(target, ast.Name) and not isinstance(
+            node, ast.AugAssign
+        ):
+            return  # rebinding a name is fine; only += truncates
+        if self._dtype_of(target, self.shape_of(target)) == "int64":
+            self._report(
+                node,
+                "MEGH012",
+                "float64 value written in place into an int64 array "
+                "silently truncates; cast explicitly or keep the store "
+                "integral",
+                Severity.ERROR,
+            )
+
+    def _check_python_reduction(self, call: ast.Call, builtin: str) -> None:
+        """Check E: built-in ``sum``/``min``/``max`` over an ndarray."""
+        if not call.args or isinstance(
+            call.args[0], (ast.GeneratorExp, ast.ListComp)
+        ):
+            return  # reductions over comprehensions are scalar by intent
+        argument = call.args[0]
+        if self._dtype_of(argument, self.shape_of(argument)) is not None:
+            self._report(
+                call,
+                "MEGH012",
+                f"built-in {builtin}() over an ndarray runs a Python "
+                "scalar loop and reassociates the reduction; use "
+                f"numpy.{builtin} / ndarray.{builtin}()",
+                Severity.WARNING,
+            )
+
+    def _check_store(
+        self,
+        node: ast.AST,
+        target: ast.expr,
+        value: ast.expr,
+        value_shape: Optional[ShapeInfo],
+    ) -> None:
+        self._check_field_store(node, target, value_shape)
+        self._check_truncating_store(node, target, value, value_shape)
+
     # -- MEGH020: declared-dtype drift -----------------------------------
     def _check_field_store(
         self, node: ast.AST, target: ast.expr, value: Optional[ShapeInfo]
@@ -750,7 +991,7 @@ class _FunctionShapes:
                 node,
                 "MEGH020",
                 f"dtype drift: method '{self.function.name}' is declared "
-                f"to return {declared.dtype} (METHOD_TYPES) but this "
+                f"to return {declared.dtype} (SHAPE_METHOD_TYPES) but this "
                 f"return statement produces {value.dtype}",
                 Severity.ERROR,
             )
@@ -780,26 +1021,31 @@ class _FunctionShapes:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self._bind_name(target.id, node.value)
-                        elif isinstance(target, ast.Attribute):
-                            self._check_field_store(node, target, value_shape)
                         elif isinstance(target, ast.Tuple):
                             for element in target.elts:
                                 if isinstance(element, ast.Name):
                                     self.env.pop(element.id, None)
                                     self.bases.pop(element.id, None)
+                        else:
+                            self._check_store(
+                                node, target, node.value, value_shape
+                            )
                 elif isinstance(node, ast.AnnAssign) and node.value is not None:
                     if isinstance(node.target, ast.Name):
                         self._bind_name(node.target.id, node.value)
-                    elif isinstance(node.target, ast.Attribute):
-                        self._check_field_store(
-                            node, node.target, self.shape_of(node.value)
+                    else:
+                        self._check_store(
+                            node,
+                            node.target,
+                            node.value,
+                            self.shape_of(node.value),
                         )
                 elif isinstance(node, ast.AugAssign):
-                    if isinstance(node.target, ast.Attribute):
-                        self._check_field_store(
-                            node, node.target, self.shape_of(node.value)
-                        )
-                    self.shape_of(node.value)
+                    value_shape = self.shape_of(node.value)
+                    self._check_store(
+                        node, node.target, node.value, value_shape
+                    )
+                    self._check_augmented(node, value_shape)
                 elif isinstance(node, ast.Return):
                     self._check_return(node)
                 elif isinstance(node, (ast.Call, ast.BinOp, ast.Compare)):
@@ -827,7 +1073,7 @@ def check_shapes(
     """Run the interpreter-backed rules over the hot packages."""
     diagnostics: List[Diagnostic] = []
     for function in project.iter_functions():
-        if not _in_hot_package(function, prefixes):
+        if not in_hot_package(function, prefixes):
             continue
         diagnostics.extend(_FunctionShapes(function, enabled).run())
     return diagnostics

@@ -1,7 +1,7 @@
 """Declared dimension vocabulary, shape tables, and ABI contracts.
 
 meghshape's abstract values are symbolic shapes over the fleet's named
-dimensions.  Exactly like the MEGH011/MEGH012 tables in
+dimensions.  Exactly like the MEGH011 table in
 :mod:`repro.analysis.flow.invariants`, everything here is a
 *specification*: the analyzers check the code against these
 declarations, and the self-analysis test fails loudly when a refactor
@@ -33,12 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.analysis.flow.invariants import (
-    AXIS_SIZE_NAMES,
-    FIELD_TYPES,
-    METHOD_TYPES,
-)
-
 __all__ = [
     "DIMENSIONS",
     "DIM_SIZE_NAMES",
@@ -67,11 +61,12 @@ DIMENSIONS: Dict[str, str] = {
 }
 
 #: Size-expression names that reveal a freshly allocated array's
-#: dimension (extends meghflow's ``AXIS_SIZE_NAMES``):
-#: ``np.empty(window, ...)`` is a W-vector, ``np.zeros(dimension, ...)``
+#: dimension: ``np.zeros(arrays.num_pms)`` is an M-vector,
+#: ``np.empty(window, ...)`` a W-vector, ``np.zeros(dimension, ...)``
 #: a d-vector, ``np.empty(num_rows, ...)`` a K-vector.
 DIM_SIZE_NAMES: Dict[str, str] = {
-    **AXIS_SIZE_NAMES,
+    "num_vms": "N",
+    "num_pms": "M",
     "num_rows": "K",
     "window": "W",
     "dimension": "d",
@@ -110,56 +105,72 @@ def _vector(dtype: str, axis: str) -> ShapeInfo:
     return ShapeInfo((axis,), dtype)
 
 
-#: Attribute name -> declared abstract value.  Seeded from meghflow's
-#: 1-d ``FIELD_TYPES`` (every DatacenterArrays vector is an owned,
-#: C-contiguous ``np.zeros`` allocation) and extended with the 2-d
-#: candidate scratch and the deferred-kernel staging state.
+#: Attribute name -> declared abstract value.  Every DatacenterArrays
+#: vector is an owned, C-contiguous ``np.zeros`` allocation; the 2-d
+#: candidate scratch and the deferred-kernel staging state follow.
 SHAPE_FIELD_TYPES: Dict[str, ShapeInfo] = {
-    name: _vector(array_type.dtype, array_type.axis)
-    for name, array_type in FIELD_TYPES.items()
+    # DatacenterArrays per-VM state.
+    "vm_mips": _vector("float64", "N"),
+    "vm_ram_mb": _vector("float64", "N"),
+    "vm_bandwidth_mbps": _vector("float64", "N"),
+    "vm_demand": _vector("float64", "N"),
+    "vm_delivered": _vector("float64", "N"),
+    "vm_bw_demand": _vector("float64", "N"),
+    "vm_active": _vector("bool", "N"),
+    "host_of": _vector("int64", "N"),
+    # DatacenterArrays per-PM state.
+    "pm_mips": _vector("float64", "M"),
+    "pm_ram_mb": _vector("float64", "M"),
+    "pm_bandwidth_mbps": _vector("float64", "M"),
+    "pm_asleep": _vector("bool", "M"),
+    "pm_vm_count": _vector("int64", "M"),
+    "_pm_ram_used": _vector("float64", "M"),
+    "_pm_demand_mips": _vector("float64", "M"),
+    "_pm_bw_mbps": _vector("float64", "M"),
+    "_pm_delivered_mips": _vector("float64", "M"),
+    "_pm_ram_free": _vector("float64", "M"),
+    # CandidateIndex static budget vectors (per-PM headroom).
+    "_mips_budget": _vector("float64", "M"),
+    "_mips_budget_full": _vector("float64", "M"),
+    "_bw_budget": _vector("float64", "M"),
+    "_bw_budget_full": _vector("float64", "M"),
+    # CandidateIndex K x M broadcast scratch (reused across steps).
+    "_feas": ShapeInfo(("K", "M"), "bool"),
+    "_aux": ShapeInfo(("K", "M"), "bool"),
+    "_tmp": ShapeInfo(("K", "M"), "float64"),
+    # PendingUpdates staged-window state (repro/core/kern.py).
+    "_pivots": _vector("int64", "W"),
+    "_scales": _vector("float64", "W"),
+    "_upd_offsets": _vector("int64", "W"),
+    "_cols_flat": _vector("int64", "S"),
+    "_vals_flat": _vector("float64", "S"),
+    "_pend_rows": _vector("int64", "R"),
+    # Reusable one/two-row flush marshaling buffers.
+    "_one_row": _vector("int64", "1"),
+    "_one_start": _vector("int64", "1"),
+    "_two_rows": _vector("int64", "2"),
+    "_two_starts": _vector("int64", "2"),
+    # SparseMatrix implicit-diagonal store.
+    "_diag": _vector("float64", "d"),
 }
-SHAPE_FIELD_TYPES.update(
-    {
-        # CandidateIndex static budget vectors (per-PM headroom).
-        "_mips_budget": _vector("float64", "M"),
-        "_mips_budget_full": _vector("float64", "M"),
-        "_bw_budget": _vector("float64", "M"),
-        "_bw_budget_full": _vector("float64", "M"),
-        # CandidateIndex K x M broadcast scratch (reused across steps).
-        "_feas": ShapeInfo(("K", "M"), "bool"),
-        "_aux": ShapeInfo(("K", "M"), "bool"),
-        "_tmp": ShapeInfo(("K", "M"), "float64"),
-        # PendingUpdates staged-window state (repro/core/kern.py).
-        "_pivots": _vector("int64", "W"),
-        "_scales": _vector("float64", "W"),
-        "_upd_offsets": _vector("int64", "W"),
-        "_cols_flat": _vector("int64", "S"),
-        "_vals_flat": _vector("float64", "S"),
-        "_pend_rows": _vector("int64", "R"),
-        # Reusable one/two-row flush marshaling buffers.
-        "_one_row": _vector("int64", "1"),
-        "_one_start": _vector("int64", "1"),
-        "_two_rows": _vector("int64", "2"),
-        "_two_starts": _vector("int64", "2"),
-        # SparseMatrix implicit-diagonal store.
-        "_diag": _vector("float64", "d"),
-    }
-)
 
-#: Method name -> declared return value (mirrors ``METHOD_TYPES``; all
-#: of the DatacenterArrays queries return owned 1-d aggregates).  The
-#: shape table sharpens axes MEGH012's coarser N/M vocabulary cannot
-#: express: ``theta()`` is a d-vector, not merely "some array".
+#: Method name -> declared return value.  The DatacenterArrays queries
+#: return owned 1-d per-PM aggregates; ``theta()`` is a d-vector.
 SHAPE_METHOD_TYPES: Dict[str, ShapeInfo] = {
-    name: _vector(array_type.dtype, array_type.axis)
-    for name, array_type in METHOD_TYPES.items()
+    "pm_ram_used_mb": _vector("float64", "M"),
+    "pm_ram_free_mb": _vector("float64", "M"),
+    "pm_demand_mips": _vector("float64", "M"),
+    "pm_bw_demand_mbps": _vector("float64", "M"),
+    "pm_delivered_mips": _vector("float64", "M"),
+    "pm_demand_utilization": _vector("float64", "M"),
+    "pm_delivered_utilization": _vector("float64", "M"),
+    "pm_bw_demand_utilization": _vector("float64", "M"),
+    "active_pm_mask": _vector("bool", "M"),
+    "overloaded_pm_mask": _vector("bool", "M"),
+    "_sum_by_host": _vector("float64", "M"),
+    "column_support": _vector("int64", "?"),
+    "theta": _vector("float64", "d"),
 }
-SHAPE_METHOD_TYPES.update(
-    {
-        "theta": _vector("float64", "d"),
-        "column_support": _vector("int64", "?"),
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ class ShapeContract:
     ``params`` lists the declared parameters **after** ``self`` in
     order; ``None`` entries are unchecked (scalars, objects).  Matching
     is by method/function *name* at attribute-call sites — the same
-    name-keyed convention ``METHOD_TYPES`` uses — so the names chosen
+    name-keyed convention ``SHAPE_METHOD_TYPES`` uses — so the names chosen
     here must be unique enough across the hot packages (the
     self-analysis test keeps that honest).
     """

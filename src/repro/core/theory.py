@@ -17,7 +17,7 @@
   :func:`fixed_point_iteration` exhibits the geometric convergence.
 
 These are the proof obligations, checked numerically; the tests in
-``tests/core/test_theory.py`` pin them down.
+``tests/core/test_dense_checkpoint_theory.py`` pin them down.
 """
 
 from __future__ import annotations

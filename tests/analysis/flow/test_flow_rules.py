@@ -1,19 +1,19 @@
-"""Fixture-driven tests for the meghflow rules (MEGH010–MEGH012).
+"""Fixture-driven tests for meghflow's MEGH011 and for unseeded RNGs.
 
 Each fixture under ``fixtures/<case>/`` is a miniature project — a
 ``repro`` package tree that is *parsed, never imported* — holding a
 seeded-in defect (positive case) or its repaired twin (negative case).
-The tests lint each case directory whole, so every finding here proves
-a genuinely interprocedural property: the RNG defect crosses two call
-hops and two modules, the dirty-flag defect hides on one branch of a
-conditional, and the dtype defects live in declared hot packages.
+The tests lint each case directory whole: the dirty-flag defect hides
+on one branch of a conditional, and the unseeded generator that crosses
+two call hops into ``repro.cloudsim`` is caught by MEGH001 at the line
+that creates it, however the module imported the constructor.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import LintConfig, lint_paths
+from repro.analysis import FLOW_RULES, LintConfig, lint_paths
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -29,17 +29,31 @@ def _findings(case: str, rule: str):
 
 class TestRngProvenance:
     def test_unseeded_generator_crossing_two_hops_is_reported(self):
-        findings = _findings("rng_flow_positive", "MEGH010")
+        findings = _findings("rng_flow_positive", "MEGH001")
         assert len(findings) == 1
         finding = findings[0]
         # Anchored at the creation site, where the fix belongs.
         assert finding.path.endswith("runner.py")
+        assert finding.line == 9
         assert "without a seed" in finding.message
-        # The witness names the simulation-package sink.
-        assert "repro.cloudsim" in finding.message
 
     def test_seeded_generator_is_silent(self):
-        assert _findings("rng_flow_negative", "MEGH010") == []
+        assert _findings("rng_flow_negative", "MEGH001") == []
+        assert _findings("rng_alias_negative", "MEGH001") == []
+
+    def test_aliased_unseeded_constructors_are_reported(self):
+        findings = _findings("rng_alias_positive", "MEGH001")
+        assert [f.line for f in findings] == [11, 12, 13, 14, 15]
+        messages = [f.message for f in findings]
+        for spelling in (
+            "default_rng()",
+            "npr.default_rng()",
+            "random.Random()",
+            "RandomState()",
+            "PCG64()",
+        ):
+            assert any(m.startswith(spelling) for m in messages), spelling
+        assert all("without a seed" in m for m in messages)
 
 
 class TestDirtyFlags:
@@ -76,25 +90,13 @@ class TestCounterClosure:
         assert _findings("counter_closure_negative", "MEGH011") == []
 
 
-class TestDtypeDiscipline:
-    def test_bad_dtype_axis_mix_and_python_sum_are_reported(self):
-        findings = _findings("dtype_positive", "MEGH012")
-        messages = [f.message for f in findings]
-        assert any("int32" in message for message in messages)
-        assert any(
-            "per-VM (N) and a per-PM (M)" in message for message in messages
-        )
-        assert any("built-in sum()" in message for message in messages)
-        assert len(findings) == 3
-
-    def test_repaired_module_is_silent(self):
-        assert _findings("dtype_negative", "MEGH012") == []
-
-
 class TestFlowToggles:
+    def test_flow_rules_are_registered(self):
+        assert set(FLOW_RULES) == {"MEGH011"}
+
     def test_no_flow_config_skips_flow_rules(self):
-        config = LintConfig(select=["MEGH010"], flow=False)
-        result = lint_paths([FIXTURES / "rng_flow_positive"], config)
+        config = LintConfig(ignore=sorted(FLOW_RULES))
+        result = lint_paths([FIXTURES / "dirty_branch_positive"], config)
         assert result.diagnostics == []
 
     def test_flow_findings_honour_line_suppressions(self, tmp_path):

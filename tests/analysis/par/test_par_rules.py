@@ -9,8 +9,9 @@ entry point (or registered into the mini registry), and every negative
 proves the repaired idiom stays silent.
 
 The second half pins the architecture: meghpar runs over the *same*
-project model and call graph instances as meghflow (parse-once extends
-to resolve-once), and the real repository's worker-reachable set
+project model instance as meghflow (parse-once extends to
+resolve-once), builds the call graph only it needs, and the real
+repository's worker-reachable set
 demonstrably covers the engine → builders → ``Simulation.run`` step
 pipeline.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro.analysis.engine as engine_module
+import repro.analysis.par as par_module
 from repro.analysis import LintConfig, lint_paths
 from repro.analysis.engine import iter_python_files, parse_module
 from repro.analysis.flow import build_call_graph, build_project
@@ -114,7 +116,7 @@ class TestRegistryAndEngineIntegration:
         assert PAR_RULES.keys() <= engine_module._ENGINE_RULE_IDS
 
     def test_no_par_config_disables_the_pass(self):
-        config = LintConfig(par=False)
+        config = LintConfig(ignore=sorted(PAR_RULES))
         result = lint_paths([FIXTURES / "par_shared_positive"], config)
         assert not any(
             d.rule_id in PAR_RULES for d in result.diagnostics
@@ -123,12 +125,15 @@ class TestRegistryAndEngineIntegration:
     def test_select_par_rule_validates(self):
         LintConfig(select=["MEGH016"]).validate()
 
-    def test_flow_and_par_share_one_project_and_graph(self, monkeypatch):
-        """Parse-once extends to resolve-once: one project model, one
-        call graph, handed to both whole-program passes."""
+    def test_flow_and_par_share_one_project(self, monkeypatch):
+        """Parse-once extends to resolve-once: one project model handed
+        to both whole-program passes, and one call graph, built only
+        when a meghpar rule runs."""
         builds = []
+        graphs = []
         seen = {}
         real_build = engine_module.build_project
+        real_graph = par_module.build_call_graph
         real_flow = engine_module.run_flow
         real_par = engine_module.run_par
 
@@ -137,27 +142,33 @@ class TestRegistryAndEngineIntegration:
             builds.append(project)
             return project
 
-        def recording_flow(parsed, select, ignore, project=None, graph=None):
-            seen["flow"] = (project, graph)
-            return real_flow(
-                parsed, select, ignore, project=project, graph=graph
-            )
+        def recording_graph(project):
+            graphs.append(project)
+            return real_graph(project)
 
-        def recording_par(parsed, select, ignore, project=None, graph=None):
-            seen["par"] = (project, graph)
-            return real_par(
-                parsed, select, ignore, project=project, graph=graph
-            )
+        def recording_flow(parsed, select, ignore, project=None):
+            seen["flow"] = project
+            return real_flow(parsed, select, ignore, project=project)
+
+        def recording_par(parsed, select, ignore, project=None):
+            seen["par"] = project
+            return real_par(parsed, select, ignore, project=project)
 
         monkeypatch.setattr(engine_module, "build_project", recording_build)
+        monkeypatch.setattr(par_module, "build_call_graph", recording_graph)
         monkeypatch.setattr(engine_module, "run_flow", recording_flow)
         monkeypatch.setattr(engine_module, "run_par", recording_par)
         lint_paths([FIXTURES / "par_shared_positive"])
         assert len(builds) == 1
-        assert seen["flow"][0] is builds[0]
-        assert seen["par"][0] is builds[0]
-        assert seen["flow"][1] is seen["par"][1]
-        assert seen["flow"][1] is not None
+        assert seen["flow"] is builds[0]
+        assert seen["par"] is builds[0]
+        assert graphs == [builds[0]]
+        lint_paths(
+            [FIXTURES / "par_shared_positive"],
+            LintConfig(ignore=sorted(PAR_RULES)),
+        )
+        assert len(builds) == 2
+        assert len(graphs) == 1
 
 
 class TestRepositoryWorkerCoverage:

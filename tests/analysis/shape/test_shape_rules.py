@@ -1,12 +1,13 @@
-"""Fixture-driven tests for the meghshape rules (MEGH019–MEGH023).
+"""Fixture-driven tests for the meghshape rules (MEGH012, MEGH019–MEGH023).
 
 Each fixture under ``fixtures/<case>/`` is a miniature project — a
 ``repro`` package tree that is *parsed, never imported* — holding
 seeded-in defects (positive case) or their repaired twin (negative
 case).  The positives prove each rule fires on the exact hazard class
-it documents (broadcast conflicts, dtype drift, unwitnessed ABI
-pointers, contract violations, in-place aliasing) and the negatives
-prove the sanctioned repair idioms stay silent.
+it documents (non-canonical dtypes and N-vs-M axis mixes, broadcast
+conflicts, dtype drift, unwitnessed ABI pointers, contract violations,
+in-place aliasing) and the negatives prove the sanctioned repair
+idioms stay silent.
 
 The second half pins the architecture: meghshape runs over the *same*
 project model instance as meghflow and meghpar (parse-once extends to
@@ -58,6 +59,33 @@ def _build_fixture_project(case: str):
         if module.tree is not None and not module.skipped:
             parsed.append((module.path, module.tree))
     return build_project(parsed)
+
+
+class TestDtypeDiscipline:
+    """MEGH012 checks A–E: every one has a positive line and its
+    repaired twin in ``dtype_negative``."""
+
+    def test_bad_dtype_axis_mix_and_python_sum_are_reported(self):
+        findings = _findings("dtype_positive", "MEGH012")
+        by_line = {f.line: f for f in findings}
+        assert len(findings) == 7
+        # A: non-canonical dtypes, platform-width ints included.
+        assert "'np.int32' (int32)" in by_line[7].message
+        assert "'np.intc' (platform int" in by_line[11].message
+        assert "'np.intp' (platform int" in by_line[12].message
+        # B: per-VM against per-PM vector.
+        assert "per-VM (N) and a per-PM (M)" in by_line[17].message
+        # C: int64 x float64 upcast.
+        assert "int64 array with a float64 array" in by_line[21].message
+        assert str(by_line[21].severity) == "warning"
+        # D: float stored in place into an int64 array.
+        assert "silently truncates" in by_line[26].message
+        assert str(by_line[26].severity) == "error"
+        # E: built-in reduction over an ndarray.
+        assert "built-in sum()" in by_line[32].message
+
+    def test_repaired_module_is_silent(self):
+        assert _findings("dtype_negative", "MEGH012") == []
 
 
 class TestBroadcastRank:
@@ -166,6 +194,7 @@ class TestInPlaceAliasing:
 class TestRegistryAndEngineIntegration:
     def test_shape_rules_are_registered_with_the_engine(self):
         assert set(SHAPE_RULES) == {
+            "MEGH012",
             "MEGH019",
             "MEGH020",
             "MEGH021",
@@ -175,7 +204,7 @@ class TestRegistryAndEngineIntegration:
         assert SHAPE_RULES.keys() <= engine_module._ENGINE_RULE_IDS
 
     def test_no_shape_config_disables_the_pass(self):
-        config = LintConfig(shape=False)
+        config = LintConfig(ignore=sorted(SHAPE_RULES))
         result = lint_paths([FIXTURES / "shape_dtype_positive"], config)
         assert not any(
             d.rule_id in SHAPE_RULES for d in result.diagnostics
@@ -199,23 +228,17 @@ class TestRegistryAndEngineIntegration:
             builds.append(project)
             return project
 
-        def recording_flow(parsed, select, ignore, project=None, graph=None):
+        def recording_flow(parsed, select, ignore, project=None):
             seen["flow"] = project
-            return real_flow(
-                parsed, select, ignore, project=project, graph=graph
-            )
+            return real_flow(parsed, select, ignore, project=project)
 
-        def recording_par(parsed, select, ignore, project=None, graph=None):
+        def recording_par(parsed, select, ignore, project=None):
             seen["par"] = project
-            return real_par(
-                parsed, select, ignore, project=project, graph=graph
-            )
+            return real_par(parsed, select, ignore, project=project)
 
-        def recording_shape(parsed, select, ignore, project=None, graph=None):
+        def recording_shape(parsed, select, ignore, project=None):
             seen["shape"] = project
-            return real_shape(
-                parsed, select, ignore, project=project, graph=graph
-            )
+            return real_shape(parsed, select, ignore, project=project)
 
         monkeypatch.setattr(engine_module, "build_project", recording_build)
         monkeypatch.setattr(engine_module, "run_flow", recording_flow)

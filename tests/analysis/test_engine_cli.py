@@ -106,8 +106,8 @@ class TestReporters:
         # Every rule the engine knows — per-file, flow, par, shape, and
         # the MEGH013 meta-rule — is described in the driver metadata.
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        for rule_id in ("MEGH002", "MEGH010", "MEGH014", "MEGH021",
-                       "MEGH013"):
+        for rule_id in ("MEGH002", "MEGH011", "MEGH012", "MEGH014",
+                        "MEGH021", "MEGH013"):
             assert rule_id in rule_ids
         results = run["results"]
         assert {r["ruleId"] for r in results} == {"MEGH002", "MEGH003"}
