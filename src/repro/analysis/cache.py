@@ -17,10 +17,10 @@ per file per invocation) is the invariant the engine's tests pin.  What
 a hit skips is rule execution.
 
 The config fingerprint folds in ``select``/``ignore`` *and* a
-toolchain hash over every source file of
-``repro.analysis`` itself — the per-file rules, meghflow, meghpar, and
-meghshape alike — so editing any analyzer module invalidates the whole
-cache: a stale result can never outlive the code that produced it.
+toolchain hash over every source file of ``repro.analysis`` itself —
+the per-file rules, meghflow and meghshape alike — so editing any
+analyzer module invalidates the whole cache: a stale result can never
+outlive the code that produced it.
 
 Storage is one JSON document, ``meghlint-cache.json``, under the
 directory given to ``repro lint --cache-dir``.  A missing, unreadable,
@@ -43,7 +43,7 @@ __all__ = ["CACHE_FILE_NAME", "CACHE_VERSION", "FileRecord", "LintCache"]
 CACHE_FILE_NAME = "meghlint-cache.json"
 CACHE_VERSION = 1
 
-#: Key under which the whole-program (flow + par + shape) record is stored.
+#: Key under which the whole-program (flow + shape) record is stored.
 _WHOLE_PROGRAM_KEY = "__whole_program__"
 
 

@@ -27,7 +27,6 @@ from repro.analysis.engine import (
     lint_paths,
 )
 from repro.analysis.flow import FLOW_RULES
-from repro.analysis.par import PAR_RULES
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.rules import RULE_REGISTRY, all_rule_ids
 from repro.analysis.shape import SHAPE_RULES
@@ -123,9 +122,6 @@ def _print_rules() -> None:
     for rule_id in sorted(FLOW_RULES):
         severity, summary = FLOW_RULES[rule_id]
         print(f"{rule_id} [{severity}] {summary} (flow)")
-    for rule_id in sorted(PAR_RULES):
-        severity, summary = PAR_RULES[rule_id]
-        print(f"{rule_id} [{severity}] {summary} (par)")
     for rule_id in sorted(SHAPE_RULES):
         severity, summary = SHAPE_RULES[rule_id]
         print(f"{rule_id} [{severity}] {summary} (shape)")

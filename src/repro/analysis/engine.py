@@ -13,10 +13,9 @@ first lines contain ``# meghlint: skip-file`` is not linted at all
 
 Each module is parsed **once**: the same :class:`ParsedModule` (AST +
 suppression table) feeds both the per-file rules (MEGH001–MEGH009) and
-the whole-program passes — meghflow (MEGH011, see
-:mod:`repro.analysis.flow`), meghpar (MEGH014–MEGH018) and meghshape
-(MEGH012, MEGH019–MEGH023) — which :func:`lint_paths` runs over all
-parsed modules together.  Suppression comments are found with
+the whole-program passes — meghflow (MEGH011 and MEGH017, see
+:mod:`repro.analysis.flow`) and meghshape (MEGH012, MEGH019–MEGH023) —
+which :func:`lint_paths` runs over all parsed modules together.  Suppression comments are found with
 :mod:`tokenize` so suppression-like text inside docstrings and string
 literals is never mistaken for a directive — and every real directive
 tracks whether it actually fired, so stale ones can be reported
@@ -36,7 +35,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 from repro.analysis.cache import FileRecord, LintCache
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
 from repro.analysis.flow import FLOW_RULES, build_project, run_flow
-from repro.analysis.par import PAR_RULES, run_par
 from repro.analysis.rules import Rule, RuleContext, build_rules
 from repro.analysis.shape import SHAPE_RULES, run_shape
 
@@ -54,7 +52,6 @@ UNUSED_SUPPRESSION_RULE = "MEGH013"
 #: Rule ids handled by the engine rather than the per-file registry.
 _ENGINE_RULE_IDS = (
     frozenset(FLOW_RULES)
-    | frozenset(PAR_RULES)
     | frozenset(SHAPE_RULES)
     | {UNUSED_SUPPRESSION_RULE}
 )
@@ -410,7 +407,7 @@ def lint_paths(
     """Lint every ``.py`` file under the given files/directories.
 
     This is the whole-program entry point: after the per-file rules it
-    runs the meghflow, meghpar and meghshape passes over the same ASTs
+    runs the meghflow and meghshape passes over the same ASTs
     — sharing one project model between them, built only when one of
     their rules is selected — applies line suppressions to their
     findings too, and finally reports directives that never fired.
@@ -469,7 +466,7 @@ def lint_paths(
                 ),
             )
     select, ignore = config.flow_rule_sets()
-    enabled = set(FLOW_RULES) | set(PAR_RULES) | set(SHAPE_RULES)
+    enabled = set(FLOW_RULES) | set(SHAPE_RULES)
     if select is not None:
         enabled &= select
     if ignore is not None:
@@ -497,12 +494,10 @@ def lint_paths(
                 if module.tree is not None and not module.skipped
             ]
             # Build the project model once; every pass consumes the same
-            # instance (parse-once extends to resolve-once).  meghpar
-            # builds the call graph it alone needs, and only when one
-            # of its rules is enabled.
+            # instance (parse-once extends to resolve-once).
             project = build_project(flow_input)
             whole_program: List[Diagnostic] = []
-            for run_pass in (run_flow, run_par, run_shape):
+            for run_pass in (run_flow, run_shape):
                 whole_program.extend(
                     run_pass(flow_input, select, ignore, project=project)
                 )

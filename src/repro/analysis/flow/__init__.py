@@ -1,20 +1,23 @@
-"""meghflow — the shared project model and the MEGH011 dataflow rule.
+"""meghflow — the shared project model, MEGH011 and MEGH017.
 
 Where the per-file meghlint rules (MEGH001–MEGH009) pattern-match one
 AST at a time, the whole-program passes need a project model — symbol
 table, import resolution, light local types — across *all* files
 handed to one lint invocation.  This package builds that model once
-(:func:`build_project`) for meghflow, meghpar and meghshape alike, and
-the call graph (:func:`build_call_graph`) that meghpar consumes.
+(:func:`build_project`) for meghflow and meghshape alike.
 
-meghflow itself checks one property that only holds (or breaks)
-whole-program:
+meghflow itself checks two properties that need that model:
 
 ``MEGH011``
     Dirty-flag invalidation: every mutation of a declared
     lazily-aggregated field (``DatacenterArrays`` vectors,
     ``SparseMatrix`` backing store, ``RewardVector`` storage) must set
     its paired flag / bump its counter on every path to function exit.
+``MEGH017``
+    Float-reduction order: ``sum`` over an unordered iterable, or
+    ``+=`` accumulation in a loop over one, in ``repro.core`` /
+    ``repro.cloudsim``; names are resolved through each module's
+    imports.
 
 The entry point is :func:`run_flow`, invoked by the lint engine with
 the modules it already parsed (parse-once: the same ASTs feed the
@@ -28,13 +31,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import (
-    CallGraph,
-    CallSite,
-    LocalTypes,
-    build_call_graph,
-)
 from repro.analysis.flow.dirty import check_dirty_flags
+from repro.analysis.flow.float_reduction import check_float_reduction
 from repro.analysis.flow.invariants import (
     MUTATION_INVARIANTS,
     MutationInvariant,
@@ -54,14 +52,11 @@ __all__ = [
     "ModuleInfo",
     "FunctionInfo",
     "ClassInfo",
-    "CallGraph",
-    "CallSite",
-    "LocalTypes",
     "build_project",
-    "build_call_graph",
     "MutationInvariant",
     "MUTATION_INVARIANTS",
     "check_dirty_flags",
+    "check_float_reduction",
 ]
 
 #: rule id -> (default severity, one-line summary). The registry the
@@ -73,6 +68,11 @@ FLOW_RULES: Dict[str, Tuple[Severity, str]] = {
         "lazily-aggregated field mutated without setting its paired "
         "dirty flag / counter on every path",
     ),
+    "MEGH017": (
+        Severity.ERROR,
+        "order-sensitive float reduction (sum over unordered iterable, "
+        "+= over unordered source) in repro.core/repro.cloudsim",
+    ),
 }
 
 
@@ -82,7 +82,7 @@ def run_flow(
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
 ) -> List[Diagnostic]:
-    """Run MEGH011 over already-parsed modules, unless deselected.
+    """Run the enabled meghflow rules over already-parsed modules.
 
     ``parsed`` pairs each path with the AST the engine produced for the
     per-file rules — the flow pass never re-parses.  ``select`` /
@@ -101,4 +101,9 @@ def run_flow(
         return []
     if project is None:
         project = build_project(parsed)
-    return check_dirty_flags(project)
+    diagnostics: List[Diagnostic] = []
+    if "MEGH011" in enabled:
+        diagnostics.extend(check_dirty_flags(project))
+    if "MEGH017" in enabled:
+        diagnostics.extend(check_float_reduction(project))
+    return diagnostics

@@ -5,7 +5,8 @@ Each rule targets a way a change could silently break the reproduction:
 * **MEGH001** — unseeded randomness destroys run-to-run determinism:
   process-global RNG calls, and any RNG constructor called without a
   seed, however the module imported it;
-* **MEGH002** — wall-clock reads leak host time into simulated results;
+* **MEGH002** — wall-clock and OS-entropy reads leak host time and
+  unseeded randomness into simulated results;
 * **MEGH003** — float ``==``/``!=`` hides accumulation dust (Sherman–
   Morrison updates leave ~1e-16 residue exactly where naive code expects
   an exact zero);
@@ -185,6 +186,12 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
+def _resolve_alias(aliases: Dict[str, str], name: str) -> str:
+    """``name`` with its leading segment replaced by what it imports."""
+    head, _, rest = name.partition(".")
+    return aliases.get(head, head) + ("." + rest if rest else "")
+
+
 @register
 class UnseededRandomnessRule(Rule):
     """MEGH001: module-level RNG calls instead of an injected Generator."""
@@ -201,8 +208,7 @@ class UnseededRandomnessRule(Rule):
         for node, name in walk_calls(context.tree):
             if name is None:
                 continue
-            head, _, rest = name.partition(".")
-            resolved = aliases.get(head, head) + ("." + rest if rest else "")
+            resolved = _resolve_alias(aliases, name)
             parts = resolved.split(".")
             if resolved in UNSEEDED_FACTORIES:
                 if not node.args and not node.keywords:
@@ -249,7 +255,7 @@ class UnseededRandomnessRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# MEGH002 — wall-clock time in simulation code
+# MEGH002 — wall-clock time and OS entropy in simulation code
 # ----------------------------------------------------------------------
 
 #: Wall-clock reads.  ``time.perf_counter`` / ``time.monotonic`` are
@@ -267,21 +273,47 @@ _WALL_CLOCK_CALLS = {
     "datetime.date.today",
 }
 
+#: OS-entropy draws: no seed reproduces them.
+_ENTROPY_CALLS = {
+    "os.urandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.token_urlsafe",
+    "secrets.randbits",
+    "secrets.randbelow",
+    "secrets.choice",
+}
+
 
 @register
 class WallClockRule(Rule):
-    """MEGH002: wall-clock reads make simulated results time-dependent."""
+    """MEGH002: wall-clock and entropy reads make results irreproducible."""
 
     rule_id = "MEGH002"
     severity = Severity.ERROR
     summary = (
-        "simulation/core code must not read the wall clock; simulated "
-        "time comes from the step counter, durations from perf_counter"
+        "wall-clock or entropy read: simulated time comes from the step "
+        "counter, durations from perf_counter, randomness from a seeded "
+        "generator"
     )
 
     def check(self, context: RuleContext) -> Iterator[Diagnostic]:
+        aliases = _import_aliases(context.tree)
         for node, name in walk_calls(context.tree):
-            if name in _WALL_CLOCK_CALLS:
+            if name is None:
+                continue
+            resolved = _resolve_alias(aliases, name)
+            if resolved in _ENTROPY_CALLS:
+                yield self.diagnostic(
+                    context,
+                    node,
+                    f"{name}() draws OS entropy, so no seed reproduces "
+                    "the run; draw from an injected seeded generator "
+                    "instead",
+                )
+            elif name in _WALL_CLOCK_CALLS:
                 yield self.diagnostic(
                     context,
                     node,

@@ -32,7 +32,7 @@ properties:
     site to boundary (:mod:`repro.analysis.shape.abi`).
 ``MEGH022``
     shape-contract violations at call boundaries, with witness chains
-    in messages like meghpar.
+    in messages.
 ``MEGH023``
     in-place aliasing hazards: ``out=``/view writes while another live
     view of the same base is read with a different region expression.
@@ -83,7 +83,7 @@ __all__ = [
 
 #: rule id -> (default severity, one-line summary). Consulted by the
 #: engine/CLI for ``--select``/``--ignore`` validation and
-#: ``--list-rules`` output, exactly like ``FLOW_RULES``/``PAR_RULES``.
+#: ``--list-rules`` output, exactly like ``FLOW_RULES``.
 SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
     "MEGH012": (
         Severity.ERROR,

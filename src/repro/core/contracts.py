@@ -32,6 +32,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
+_FALSE_VALUES = frozenset({"0", "false", "no", "off", ""})
 
 
 def contracts_enabled(default: bool = False) -> bool:
@@ -39,12 +40,23 @@ def contracts_enabled(default: bool = False) -> bool:
 
     Controlled by the ``REPRO_CONTRACTS`` environment variable; the
     test suite turns it on (see ``tests/conftest.py``), benchmarks
-    leave it off so timings stay clean.
+    leave it off so timings stay clean.  Any value outside the
+    case-insensitive true/false spellings raises
+    :class:`~repro.errors.ConfigurationError`, so a typo cannot turn
+    the audits off unnoticed.
     """
     raw = os.environ.get("REPRO_CONTRACTS")
     if raw is None:
         return default
-    return raw.strip().lower() in _TRUE_VALUES
+    value = raw.strip().lower()
+    if value in _TRUE_VALUES:
+        return True
+    if value in _FALSE_VALUES:
+        return False
+    raise ConfigurationError(
+        f"REPRO_CONTRACTS={raw!r} invalid; expected one of "
+        f"{sorted(_TRUE_VALUES)} or {sorted(_FALSE_VALUES)}"
+    )
 
 
 class NumericalContractError(ReproError):

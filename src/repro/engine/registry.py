@@ -166,10 +166,10 @@ def execute_spec(spec: JobSpec):
     engine's ``jobs=1`` / ``jobs=N`` equivalence rests on it.
     """
     builder = resolve_builder(spec.builder)
-    # The annotation is load-bearing beyond type checking: registry
-    # dispatch is dynamic, so it is what lets meghpar's call graph
-    # follow execute_spec into Simulation.run and certify the whole
-    # worker-executed step pipeline (MEGH014–018).
+    # Registry dispatch is dynamic, so no static pass can follow it;
+    # the pool's worker-isolation differential (tests/engine/test_pool.py)
+    # runs every registered builder x scheduler through this function
+    # serially and on spawned workers and compares the result bytes.
     simulation: Simulation = builder(seed=spec.seed, **spec.builder_kwargs())
     constructor = resolve_scheduler(spec.scheduler)
     scheduler = constructor(simulation, **spec.scheduler_kwargs())

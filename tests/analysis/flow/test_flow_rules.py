@@ -1,12 +1,13 @@
-"""Fixture-driven tests for meghflow's MEGH011 and for unseeded RNGs.
+"""Fixture-driven tests for meghflow's MEGH011/MEGH017 and unseeded RNGs.
 
 Each fixture under ``fixtures/<case>/`` is a miniature project — a
 ``repro`` package tree that is *parsed, never imported* — holding a
 seeded-in defect (positive case) or its repaired twin (negative case).
 The tests lint each case directory whole: the dirty-flag defect hides
-on one branch of a conditional, and the unseeded generator that crosses
-two call hops into ``repro.cloudsim`` is caught by MEGH001 at the line
-that creates it, however the module imported the constructor.
+on one branch of a conditional, the float reductions over sets sit in
+``repro.core``, and the unseeded generator that crosses two call hops
+into ``repro.cloudsim`` is caught by MEGH001 at the line that creates
+it, however the module imported the constructor.
 """
 
 from __future__ import annotations
@@ -90,9 +91,21 @@ class TestCounterClosure:
         assert _findings("counter_closure_negative", "MEGH011") == []
 
 
+class TestFloatReductionOrder:
+    def test_sum_and_incremental_add_over_sets_are_reported(self):
+        findings = _findings("float_positive", "MEGH017")
+        assert len(findings) == 2
+        messages = " | ".join(f.message for f in findings)
+        assert "sum(...)" in messages
+        assert "+=" in messages
+
+    def test_fsum_over_sorted_is_clean(self):
+        assert _findings("float_negative", "MEGH017") == []
+
+
 class TestFlowToggles:
     def test_flow_rules_are_registered(self):
-        assert set(FLOW_RULES) == {"MEGH011"}
+        assert set(FLOW_RULES) == {"MEGH011", "MEGH017"}
 
     def test_no_flow_config_skips_flow_rules(self):
         config = LintConfig(ignore=sorted(FLOW_RULES))

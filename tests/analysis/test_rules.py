@@ -98,6 +98,23 @@ class TestMegh002WallClock:
         )
         assert len(findings(source, "MEGH002")) == 2
 
+    def test_flags_entropy_reads(self):
+        source = (
+            "import os\n"
+            "import secrets\n"
+            "import uuid\n"
+            "from secrets import token_hex as hex_token\n"
+            "salt = os.urandom(8)\n"
+            "run_id = uuid.uuid4()\n"
+            "host_id = uuid.uuid1()\n"
+            "bits = secrets.randbits(32)\n"
+            "pick = secrets.choice([1, 2])\n"
+            "token = hex_token(4)\n"
+        )
+        hits = findings(source, "MEGH002")
+        assert [hit.line for hit in hits] == [5, 6, 7, 8, 9, 10]
+        assert all("OS entropy" in hit.message for hit in hits)
+
     def test_allows_perf_counter(self):
         source = "import time\nstart = time.perf_counter()\n"
         assert findings(source, "MEGH002") == []

@@ -54,6 +54,17 @@ class TestConfig:
         assert contracts_enabled() is True
         monkeypatch.setenv("REPRO_CONTRACTS", "off")
         assert contracts_enabled() is False
+        for raw in ("TRUE", " Yes ", "On"):
+            monkeypatch.setenv("REPRO_CONTRACTS", raw)
+            assert contracts_enabled() is True
+        for raw in ("0", "False", "NO", ""):
+            monkeypatch.setenv("REPRO_CONTRACTS", raw)
+            assert contracts_enabled(default=True) is False
+
+    def test_typo_is_rejected_not_read_as_off(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "ture")
+        with pytest.raises(ConfigurationError, match="REPRO_CONTRACTS"):
+            contracts_enabled(default=True)
 
 
 class TestRequireFinite:

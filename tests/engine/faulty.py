@@ -1,9 +1,12 @@
-"""Fault-injecting scheduler constructors for engine tests.
+"""Fault-injecting constructors for engine tests.
 
 These are referenced by ``module:attr`` dotted paths (the registry's
 escape hatch), so worker processes can import them by name.  Each
-returns a scheduler whose ``decide`` misbehaves in a specific way,
-exercising one failure path of the pool.
+scheduler constructor returns a scheduler whose ``decide`` misbehaves
+in a specific way, exercising one failure path of the pool.  Each
+builder runs cleanly but lets one source of cross-run divergence into
+its simulation — the defects the pool's worker-isolation differential
+must report.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import os
 import signal
 import time
+import zlib
+
+from repro.engine.registry import resolve_builder
 
 
 class _RaisingScheduler:
@@ -60,3 +66,31 @@ def make_crashing(simulation):
     """Constructor for a job whose worker dies without replying."""
     del simulation
     return _SuicidalScheduler()
+
+
+#: Per-process build count: differs by job placement and by how many
+#: jobs this process ran before.
+_BUILDS = 0
+
+
+def build_counted(seed: int = 0, **params):
+    """Defect: a module-level counter feeds the seed."""
+    global _BUILDS
+    _BUILDS += 1
+    return resolve_builder("planetlab")(seed=seed + _BUILDS, **params)
+
+
+def build_set_ordered(seed: int = 0, **params):
+    """Defect: set iteration order (string hashing) feeds the seed."""
+    names = {f"pm-{index}" for index in range(8)}
+    order = zlib.crc32("".join(names).encode()) % 997
+    return resolve_builder("planetlab")(seed=seed + order, **params)
+
+
+def build_ambient(seed: int = 0, **params):
+    """Defect: a wall-clock read and an environment read feed the seed."""
+    stamp = int(time.time() * 1e6) % 997
+    kernel = os.environ.get("REPRO_KERNEL", "auto")
+    return resolve_builder("planetlab")(
+        seed=seed + stamp + len(kernel), **params
+    )

@@ -1,5 +1,7 @@
 """Tests for job specs, canonicalization, and content hashing."""
 
+import threading
+
 import pytest
 
 from repro.engine.jobs import (
@@ -42,9 +44,33 @@ class TestFreezeThaw:
         assert freeze(np.float64(0.25)) == 0.25
         assert freeze(np.int64(7)) == 7
 
-    def test_unfreezable_rejected(self):
+    def test_unfreezable_rejected(self, tmp_path):
+        np = pytest.importorskip("numpy")
+
+        def nested(x):
+            return x
+
+        with open(tmp_path / "log.txt", "w") as handle:
+            for value in (
+                object(),
+                lambda x: x,
+                nested,
+                handle,
+                np.random.default_rng(0),
+                threading.Lock(),
+            ):
+                with pytest.raises(ConfigurationError):
+                    freeze(value)
+                with pytest.raises(ConfigurationError):
+                    freeze({"nested": [value]})
         with pytest.raises(ConfigurationError):
-            freeze(object())
+            JobSpec.create(
+                "planetlab", "noop", seed=0, builder_params={"f": lambda: 0}
+            )
+        with pytest.raises(ConfigurationError):
+            BuilderSpec.create("planetlab", post=lambda x: x)
+        with pytest.raises(ConfigurationError):
+            SchedulerSpec.create("noop", post=lambda x: x)
 
     def test_params_round_trip(self):
         params = {"beta": 0.8, "grid": [1, 2], "cfg": {"x": 1}}

@@ -4,6 +4,8 @@ The parallel tests spawn real worker processes, so the simulations are
 kept tiny (a few PMs, a handful of steps) and the pool small (2 workers).
 """
 
+import json
+
 import pytest
 
 from repro.engine import events as ev
@@ -19,9 +21,76 @@ from repro.engine.pool import (
     require_ok,
     run_jobs,
 )
+from repro.engine.registry import BUILDER_REGISTRY, SCHEDULER_REGISTRY
+from repro.engine.serialize import result_to_dict
 from repro.errors import ConfigurationError, EngineError
 
 BUILDER_PARAMS = {"num_pms": 4, "num_vms": 6, "num_steps": 10}
+
+#: One tiny fleet per registered builder, for the isolation differential.
+DIFFERENTIAL_FLEETS = {
+    "planetlab": {"num_pms": 4, "num_vms": 6, "num_steps": 10},
+    "google": {"num_pms": 4, "num_vms": 8, "num_steps": 10},
+    "churn": {
+        "num_pms": 4, "capacity": 6, "initial_vms": 3, "num_steps": 10,
+    },
+}
+
+#: Seeded-defect builders (tests/engine/faulty.py) the differential
+#: must report: module state, set order, wall clock plus environment.
+SEEDED_DEFECTS = ("build_counted", "build_set_ordered", "build_ambient")
+
+
+def differential_specs():
+    """Every registered builder x scheduler, then the seeded defects."""
+    specs = [
+        JobSpec.create(
+            builder,
+            scheduler,
+            seed=1,
+            num_steps=10,
+            builder_params=params,
+            tag=f"{builder}/{scheduler}",
+        )
+        for builder, params in DIFFERENTIAL_FLEETS.items()
+        for scheduler in sorted(SCHEDULER_REGISTRY)
+    ]
+    specs.extend(
+        JobSpec.create(
+            f"tests.engine.faulty:{defect}",
+            "noop",
+            seed=1,
+            num_steps=10,
+            builder_params=BUILDER_PARAMS,
+            tag=defect,
+        )
+        for defect in SEEDED_DEFECTS
+    )
+    return specs
+
+
+def result_bytes(job_result):
+    """Canonical result JSON without its one wall-time field."""
+    assert job_result.ok, job_result.error
+    data = result_to_dict(job_result.result)
+    for step in data["steps"]:
+        del step["scheduler_seconds"]
+    return json.dumps(data, sort_keys=True)
+
+
+def divergent_tags(specs, runs):
+    """Tags of the specs whose result bytes differ between any two runs.
+
+    Every run must return one result per spec, in submission order.
+    """
+    for results in runs:
+        assert [jr.spec for jr in results] == list(specs)
+    fingerprints = [[result_bytes(jr) for jr in results] for results in runs]
+    return [
+        spec.tag
+        for index, spec in enumerate(specs)
+        if len({run[index] for run in fingerprints}) > 1
+    ]
 
 
 def good_spec(seed, scheduler="noop", **scheduler_params):
@@ -89,24 +158,30 @@ class TestSerialExecution:
 
 
 class TestParallelExecution:
-    def test_parallel_matches_serial_bit_for_bit(self):
-        specs = [
-            good_spec(seed, scheduler=scheduler)
-            for seed in (0, 1)
-            for scheduler in ("noop", "random")
-        ]
+    def test_parallel_matches_serial_bit_for_bit(self, monkeypatch):
+        """Worker-isolation differential over every registered pair.
+
+        The same specs run three ways: (A) serially in this process,
+        forward and then reversed, which exposes module state leaking
+        between jobs; (B) on two spawned workers under
+        ``PYTHONHASHSEED=1``; (C) on two workers under
+        ``PYTHONHASHSEED=2`` with the eager kernel and contracts off,
+        which exposes hash/set order and the documented environment
+        switches reaching a result.  Every clean pair must give the
+        same bytes all four times; each seeded defect must not.
+        """
+        assert sorted(DIFFERENTIAL_FLEETS) == sorted(BUILDER_REGISTRY)
+        specs = differential_specs()
         serial = run_jobs(specs, jobs=1)
-        parallel = run_jobs(specs, jobs=2)
-        assert [jr.spec for jr in parallel] == specs
-        for s, p in zip(serial, parallel):
-            assert s.ok and p.ok
-            assert s.result.total_cost_usd == p.result.total_cost_usd
-            assert s.result.total_migrations == p.result.total_migrations
-            assert s.result.mean_active_hosts == p.result.mean_active_hosts
-            assert (
-                s.result.metrics.per_step_cost_series()
-                == p.result.metrics.per_step_cost_series()
-            )
+        reversed_serial = run_jobs(specs[::-1], jobs=1)[::-1]
+        monkeypatch.setenv("PYTHONHASHSEED", "1")
+        hash_seed_1 = run_jobs(specs, jobs=2)
+        monkeypatch.setenv("PYTHONHASHSEED", "2")
+        monkeypatch.setenv("REPRO_KERNEL", "off")
+        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        hash_seed_2 = run_jobs(specs, jobs=2)
+        runs = [serial, reversed_serial, hash_seed_1, hash_seed_2]
+        assert divergent_tags(specs, runs) == list(SEEDED_DEFECTS)
 
     def test_raising_job_fails_alone(self, tmp_path):
         cache = ResultCache(tmp_path)
