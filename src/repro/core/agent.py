@@ -173,19 +173,24 @@ class MeghScheduler:
         else:
             plan = self.candidate_index.plan(datacenter)
         self._learn_from_last_step(observation, plan.action_indices)
-        moves, noops = self._select_from_plan(plan)
+        raw_q, chosen, moves, noops = self._select_from_plan(plan)
         # Record the executed migrations plus a bounded sample of no-ops,
         # keeping the number of LSTD updates per step O(#migrations) —
         # the Section 5.2 complexity claim.
-        noop_budget = max(1, len(moves))
-        if len(noops) > noop_budget:
-            picked = self._rng.choice(
-                len(noops), size=noop_budget, replace=False
-            )
-            noops = [noops[int(i)] for i in picked]
-        self._previous_action_indices = [
-            entry[3] for entry in moves
-        ] + [entry[3] for entry in noops]
+        noop_budget = max(1, moves.shape[0])
+        if noops.shape[0] > noop_budget:
+            noops = noops[
+                self._rng.choice(
+                    noops.shape[0], size=noop_budget, replace=False
+                )
+            ]
+        moved_at = chosen[moves]
+        self._previous_action_indices = (
+            plan.action_indices[moved_at].tolist()
+            + plan.action_indices[chosen[noops]].tolist()
+        )
+        vm_ids = plan.vm_ids[moves].tolist()
+        dests = plan.dest_pm[moved_at].tolist()
         if self.trace is not None:
             from repro.core.trace import DecisionRecord
 
@@ -196,13 +201,11 @@ class MeghScheduler:
                     normalized_cost=self._last_normalized_cost,
                     num_candidate_vms=plan.num_rows,
                     num_candidate_actions=plan.num_actions,
-                    chosen=tuple(
-                        (vm_id, dest) for vm_id, dest, _, _ in moves
-                    ),
+                    chosen=tuple(zip(vm_ids, dests)),
                     # Raw (margin-free) Q, reused from selection — B and
                     # z have not changed since, so recomputing would be
                     # the same value at twice the cost.
-                    chosen_q=tuple(raw for _, _, raw, _ in moves),
+                    chosen_q=tuple(raw_q[moved_at].tolist()),
                     q_table_nonzeros=self.lstd.q_table_nonzeros,
                 )
             )
@@ -211,7 +214,7 @@ class MeghScheduler:
         self.qtable.record(self._steps_seen, self.lstd.q_table_nonzeros)
         return [
             Migration(vm_id=vm_id, dest_pm_id=dest)
-            for vm_id, dest, _, _ in moves
+            for vm_id, dest in zip(vm_ids, dests)
         ]
 
     def retire_vm(self, vm_slot: int) -> None:
@@ -467,79 +470,46 @@ class MeghScheduler:
     # ------------------------------------------------------------------
     def _select_from_plan(
         self, plan: CandidatePlan
-    ) -> Tuple[List[tuple], List[tuple]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pick one action per candidate VM straight off the plan arrays.
 
-        Returns ``(moves, noops)``, each a list of
-        ``(vm_id, dest_pm_id, raw_q, flat_index)`` tuples — ``raw_q`` is
-        the margin-free ``Q(s, a)`` of the selected action, handed back
-        so ``decide()``'s trace branch can reuse it instead of
-        recomputing the same dot products, and ``flat_index`` the
-        already-fused basis coordinate for the learner.  Moves are
-        capped at the migration budget with relief moves first.
+        Returns ``(raw_q, chosen, moves, noops)``: ``raw_q`` is the
+        margin-free ``Q(s, a)`` of every plan action (``decide()``'s
+        trace branch reuses it instead of recomputing the same dot
+        products), ``chosen[r]`` the flat plan position of row ``r``'s
+        pick, ``moves`` the rows whose pick migrates — relief moves
+        first, then by ascending Q, capped at the migration budget —
+        and ``noops`` the rows whose pick stays put, in row order.
         """
-        # One batched Q evaluation for the whole candidate set; per-VM
-        # slices below are views into this cache-backed array.
-        flat_q = self.lstd.q_values(plan.action_indices)
+        # One batched Q evaluation for the whole candidate set.
+        raw_q = self.lstd.q_values(plan.action_indices)
         offsets = plan.offsets
-        dest_pm = plan.dest_pm
-        picks: List[tuple] = []
-        for r in range(plan.num_rows):
-            start = int(offsets[r])
-            end = int(offsets[r + 1])
-            raw_q = flat_q[start:end]
-            dests = dest_pm[start:end]
-            source = int(plan.sources[r])
-            mandatory = bool(plan.mandatory[r])
-            # Soft switching cost: consolidation moves must beat the
-            # stay-put Q by the hysteresis margin.  At high
-            # temperature the margin is negligible (exploration is
-            # unharmed); once the temperature decays it suppresses
-            # ping-pong between equally good homes.  Relief moves off
-            # overloaded hosts are exempt.
-            if mandatory:
-                q_values = raw_q.copy()
-            else:
-                q_values = raw_q + self.config.migration_margin * (
-                    dests != source
-                )
-            _, index = self.policy.select(dests, q_values)
-            picks.append(
-                (
-                    float(q_values[index]),
-                    int(plan.vm_ids[r]),
-                    int(dests[index]),
-                    float(raw_q[index]),
-                    int(plan.action_indices[start + index]),
-                    mandatory,
-                    source,
-                )
-            )
-        max_moves = max(
-            1, int(self.config.max_migration_fraction * self.action_space.num_vms)
+        lengths = np.diff(offsets)
+        # Soft switching cost: consolidation moves must beat the
+        # stay-put Q by the hysteresis margin.  At high temperature the
+        # margin is negligible (exploration is unharmed); once the
+        # temperature decays it suppresses ping-pong between equally
+        # good homes.  Relief moves off overloaded hosts are exempt
+        # (their rows add margin x 0.0, which changes no pick).
+        margined = (plan.dest_pm != np.repeat(plan.sources, lengths)) & (
+            np.repeat(~plan.mandatory, lengths)
         )
+        q_values = raw_q + self.config.migration_margin * margined
+        chosen = offsets[:-1] + self.policy.select_rows(q_values, offsets)
+        stays = plan.dest_pm[chosen] == plan.sources
+        moves = np.flatnonzero(~stays)
         # Keep every no-op (they cost nothing to execute) but cap real
         # moves at the 2 % budget.  Within the budget, moves that relieve
         # an overloaded host come first (they are why "when to migrate"
         # matters); remaining slots go to the best-Q consolidation moves.
-        noops = [
-            (vm_id, dest, raw, flat)
-            for _, vm_id, dest, raw, flat, _, source in picks
-            if dest == source
+        # lexsort is stable, so equal keys keep row order.
+        ranked = moves[
+            np.lexsort((q_values[chosen[moves]], ~plan.mandatory[moves]))
         ]
-        ranked = sorted(
-            (
-                (not mandatory, q, vm_id, dest, raw, flat)
-                for q, vm_id, dest, raw, flat, mandatory, source in picks
-                if dest != source
-            ),
-            key=lambda entry: (entry[0], entry[1]),
+        max_moves = max(
+            1, int(self.config.max_migration_fraction * self.action_space.num_vms)
         )
-        moves = [
-            (vm_id, dest, raw, flat)
-            for _, _, vm_id, dest, raw, flat in ranked[:max_moves]
-        ]
-        return moves, noops
+        return raw_q, chosen, ranked[:max_moves], np.flatnonzero(stays)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.contracts import NumericalContractError
 from repro.core.exploration import BoltzmannPolicy
 from repro.errors import ConfigurationError
 
@@ -70,7 +71,8 @@ class TestWeights:
         probs = policy.probabilities([1.0, 2.0, 3.0])
         assert probs[0] > 0.999
 
-    def test_underflow_falls_back_to_greedy_uniform(self):
+    def test_tied_minimisers_share_mass_distant_action_gets_none(self):
+        # Weights [1, 1, exp(-1e18) = 0]: the minimisers split the mass.
         policy = BoltzmannPolicy(
             initial_temperature=1e-9, min_temperature=1e-9
         )
@@ -131,3 +133,26 @@ class TestSelection:
             policy.step()
         late = [policy.select([0, 1, 2], [0.0, 1.0, 2.0])[1] for _ in range(200)]
         assert np.mean([i != 0 for i in late]) < np.mean([i != 0 for i in early])
+
+
+class TestNonFiniteQ:
+    """Both selection paths raise one named error on non-finite Q."""
+
+    ROWS = [
+        [math.inf, math.inf],
+        [-math.inf, 1.0],
+        [math.nan, 1.0],
+    ]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_select_raises(self, row):
+        with pytest.raises(NumericalContractError, match="Q row 0 "):
+            BoltzmannPolicy().select(["a", "b"], row)
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_select_rows_raises_naming_the_row(self, row):
+        flat = np.array([0.5, 1.0] + row)
+        offsets = np.array([0, 2, 4], dtype=np.int64)
+        with pytest.raises(NumericalContractError, match="Q row 1 ") as info:
+            BoltzmannPolicy().select_rows(flat, offsets)
+        assert len(info.value.violations) == 1
