@@ -184,7 +184,7 @@ class Datacenter:
     def place(self, vm_id: int, pm_id: int) -> None:
         """Place an unplaced VM on a host, waking the host if needed."""
         vm = self.vm(vm_id)
-        pm = self.pm(pm_id)
+        self.pm(pm_id)
         if vm_id in self._host_of:
             raise CapacityError(
                 f"VM {vm_id} is already placed on PM {self._host_of[vm_id]}"
@@ -194,17 +194,25 @@ class Datacenter:
                 f"VM {vm_id} ({vm.ram_mb} MB) does not fit on PM {pm_id} "
                 f"({self.ram_free_mb(pm_id)} MB free)"
             )
-        pm.wake()
+        self._attach(vm_id, pm_id)
+
+    def remove(self, vm_id: int) -> int:
+        """Unplace a VM; returns the PM id it was removed from."""
+        if vm_id not in self._host_of:
+            raise UnknownEntityError(f"VM {vm_id} is not placed")
+        return self._detach(vm_id)
+
+    def _attach(self, vm_id: int, pm_id: int) -> None:
+        """Place an unplaced VM (checks done), waking the host."""
+        self._pms[pm_id].wake()
         self._host_of[vm_id] = pm_id
         self._vms_on[pm_id].add(vm_id)
         self.arrays.host_of[vm_id] = pm_id
         self.arrays.pm_vm_count[pm_id] += 1
         self.arrays.mark_placement_dirty()
 
-    def remove(self, vm_id: int) -> int:
-        """Unplace a VM; returns the PM id it was removed from."""
-        if vm_id not in self._host_of:
-            raise UnknownEntityError(f"VM {vm_id} is not placed")
+    def _detach(self, vm_id: int) -> int:
+        """Unplace a placed VM; returns the PM id it was removed from."""
         pm_id = self._host_of.pop(vm_id)
         self._vms_on[pm_id].discard(vm_id)
         self.arrays.host_of[vm_id] = -1
@@ -227,8 +235,11 @@ class Datacenter:
             raise CapacityError(
                 f"VM {vm_id} does not fit on PM {dest_pm_id}"
             )
-        self.remove(vm_id)
-        self.place(vm_id, dest_pm_id)
+        # fits() checked RAM on the destination, and leaving the source
+        # frees nothing there: skip place()'s re-check, which would
+        # rebuild the RAM aggregate the detach just marked dirty.
+        self._detach(vm_id)
+        self._attach(vm_id, dest_pm_id)
         return source
 
     def sleep_idle_hosts(self) -> List[int]:

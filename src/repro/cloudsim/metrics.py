@@ -9,7 +9,7 @@ the Table 2/3 aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,15 @@ class MetricsCollector:
     @property
     def total_cost_usd(self) -> float:
         """Total operation cost over the run (Table row 1)."""
-        return sum(s.total_cost_usd for s in self.steps)
+        return _sum_left_to_right(s.total_cost_usd for s in self.steps)
 
     @property
     def total_energy_cost_usd(self) -> float:
-        return sum(s.energy_cost_usd for s in self.steps)
+        return _sum_left_to_right(s.energy_cost_usd for s in self.steps)
 
     @property
     def total_sla_cost_usd(self) -> float:
-        return sum(s.sla_cost_usd for s in self.steps)
+        return _sum_left_to_right(s.sla_cost_usd for s in self.steps)
 
     @property
     def total_migrations(self) -> int:
@@ -71,7 +71,8 @@ class MetricsCollector:
         """Average per-step execution time (Table row 4)."""
         if not self.steps:
             return 0.0
-        return sum(s.scheduler_seconds for s in self.steps) / len(self.steps)
+        total = _sum_left_to_right(s.scheduler_seconds for s in self.steps)
+        return total / len(self.steps)
 
     @property
     def mean_scheduler_milliseconds(self) -> float:
@@ -123,6 +124,19 @@ class MetricsCollector:
             if all(abs(v - final) <= tolerance * abs(final) for v in tail):
                 return index
         return len(costs)
+
+
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    """Plain left-to-right float total.
+
+    From Python 3.12 the builtin ``sum()`` of floats is compensated, so
+    it may differ from this order in the last bits and the reported
+    totals would depend on the interpreter version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _rolling_mean(values: Sequence[float], window: int) -> List[float]:

@@ -15,20 +15,31 @@ Vectorized accounting
 ---------------------
 Since the struct-of-arrays rewrite the accountant keeps its counters in
 dense NumPy vectors indexed by entity id — cumulative seconds in
-``float64[cap]`` vectors, billing windows in ``(cap, W)`` matrices kept
-in chronological order (rows shift left when full, exactly like the old
-per-record deque's append/evict).  :class:`HostSlaRecord` and
-:class:`VmSlaRecord` obtained from an accountant are *bound views* over
-those arrays, so the public per-record API is unchanged; records
-constructed directly (``VmSlaRecord(window_steps=2)``) stay standalone
-scalar/deque objects.
+``float64[cap]`` vectors, billing windows in flat ``float64[cap * W]``
+buffers holding one ring of ``W`` slots per VM (row ``r``'s slot ``p``
+is element ``r * W + p``).  Each row counts its appends since its last
+reset; append ``c`` writes slot ``c mod W``, so a row fills slots
+``0..W-1`` in order and, once full, each append overwrites the oldest
+entry — the per-record deque's append/evict without shifting the row.
+The oldest entry (the head) sits at slot ``max(c - W, 0) mod W``.
+Slots a row has not filled hold +0.0.
+:class:`HostSlaRecord` and :class:`VmSlaRecord` obtained from an
+accountant are *bound views* over those arrays, so the public
+per-record API is unchanged; records constructed directly
+(``VmSlaRecord(window_steps=2)``) stay standalone scalar/deque objects.
+
+Each row also keeps an exact count of its nonzero downtime entries,
+updated on every append, eviction, reset and restore.  A row whose count
+is zero has a windowed downtime fraction of exactly 0.0, so
+:meth:`SlaAccountant.nonzero_downtime_fractions` evaluates only the rows
+with downtime in their window — typically a few dozen of a thousand.
 
 ``observe_step`` takes a batched path when the datacenter exposes a
 :class:`~repro.cloudsim.soa.DatacenterArrays` mirror: one masked
 vector update per counter instead of a Python loop per VM.  Both paths
 apply exactly one ``+= interval`` per entity per step and windowed sums
-are strict left-to-right accumulations (``np.cumsum``), so every
-query is bit-identical between the two.
+are strict left-to-right accumulations over the row read oldest first
+(``np.cumsum``), so every query is bit-identical between the two.
 """
 
 from __future__ import annotations
@@ -119,8 +130,8 @@ class VmSlaRecord:
 
     Standalone instances keep the window in a deque of
     ``(downtime, requested)`` pairs; accountant-bound instances view one
-    row of the accountant's ``(cap, W)`` window matrices, which store
-    the same entries in the same chronological order.
+    ring of the accountant's window buffers, which hold the same entries
+    and read them back in the same chronological order.
     """
 
     __slots__ = (
@@ -230,11 +241,11 @@ class VmSlaRecord:
         """Chronological ``(downtime, requested)`` entries, oldest first."""
         if self._owner is None:
             return [(float(d), float(r)) for d, r in self._win]
-        owner, row = self._owner, self._row
-        n = int(owner._win_len[row])
+        owner = self._owner
+        slots = owner._chronological_slots(self._row)
         return [
-            (float(owner._win_down[row, k]), float(owner._win_req[row, k]))
-            for k in range(n)
+            (float(owner._win_down[k]), float(owner._win_req[k]))
+            for k in slots
         ]
 
     def record_step(self, downtime: float, requested: float) -> None:
@@ -265,13 +276,21 @@ class VmSlaRecord:
         on; it recovers once service is restored.
         """
         if self._owner is not None:
+            if self._owner._win_nnz[self._row] == 0:
+                return 0.0
             return float(self._owner._window_fraction_rows(
                 np.array([self._row], dtype=np.int64)
             )[0])
-        requested = sum(r for _, r in self._win)
+        # Explicit left-to-right totals, the order the accountant's
+        # cumsum follows: from Python 3.12 ``sum()`` of floats is
+        # compensated and may differ in the last bits.
+        requested = 0.0
+        downtime = 0.0
+        for entry_downtime, entry_requested in self._win:
+            requested += entry_requested
+            downtime += entry_downtime
         if requested <= 0.0:
             return 0.0
-        downtime = sum(d for d, _ in self._win)
         return downtime / requested
 
 
@@ -289,7 +308,8 @@ class SlaAccountant:
 
     Attributes:
         hosts: per-host records, keyed by PM id, in first-seen order.
-        vms: per-VM records, keyed by VM id, in first-seen order.
+        vms: per-VM records, keyed by VM id, in first-seen order.  Both
+            only ever grow: a record, once tracked, is never dropped.
     """
 
     def __init__(
@@ -311,22 +331,28 @@ class SlaAccountant:
         self.vms: Dict[int, VmSlaRecord] = {}
         # Array-backed counters (rows indexed by entity id, grown on
         # demand so a standalone accountant works without a datacenter).
-        width = self.window_steps
         self._host_active_s = np.zeros(0, dtype=np.float64)
         self._host_overload_s = np.zeros(0, dtype=np.float64)
         self._vm_requested_s = np.zeros(0, dtype=np.float64)
         self._vm_mig_down_s = np.zeros(0, dtype=np.float64)
         self._vm_over_down_s = np.zeros(0, dtype=np.float64)
-        self._win_down = np.zeros((0, width), dtype=np.float64)
-        self._win_req = np.zeros((0, width), dtype=np.float64)
-        self._win_len = np.zeros(0, dtype=np.int64)
+        # Billing windows: one ring of ``_width`` slots per VM row, flat
+        # (row r, slot p at r * _width + p), with per-row appends since
+        # the last reset and count of nonzero downtime entries held.
+        self._width = self.window_steps
+        self._win_down = np.zeros(0, dtype=np.float64)
+        self._win_req = np.zeros(0, dtype=np.float64)
+        self._win_appends = np.zeros(0, dtype=np.int64)
+        self._win_nnz = np.zeros(0, dtype=np.int64)
+        # VM ids in first-seen order (the ``vms`` dict order), so batched
+        # queries can walk the fleet in that order without the dict.
+        self._vm_order = np.zeros(0, dtype=np.int64)
         # Mirrors of dict membership, so the batched path can find the
         # not-yet-tracked entities without a per-id dict probe.
         self._host_seen = np.zeros(0, dtype=bool)
         self._vm_seen = np.zeros(0, dtype=bool)
         # Scratch buffers for the batched observe path.
         self._buf_down = np.zeros(0, dtype=np.float64)
-        self._buf_req = np.zeros(0, dtype=np.float64)
         self._buf_in_step = np.zeros(0, dtype=bool)
 
     @property
@@ -357,16 +383,14 @@ class SlaAccountant:
         self._vm_requested_s = self._grow_1d(self._vm_requested_s, capacity)
         self._vm_mig_down_s = self._grow_1d(self._vm_mig_down_s, capacity)
         self._vm_over_down_s = self._grow_1d(self._vm_over_down_s, capacity)
-        self._win_len = self._grow_1d(self._win_len, capacity)
+        self._win_appends = self._grow_1d(self._win_appends, capacity)
+        self._win_nnz = self._grow_1d(self._win_nnz, capacity)
+        self._vm_order = self._grow_1d(self._vm_order, capacity)
         self._vm_seen = self._grow_1d(self._vm_seen, capacity)
-        width = self._win_down.shape[1]
-        for name in ("_win_down", "_win_req"):
-            old = getattr(self, name)
-            grown = np.zeros((capacity, width), dtype=np.float64)
-            grown[: old.shape[0]] = old
-            setattr(self, name, grown)
+        width = self._width
+        self._win_down = self._grow_1d(self._win_down, capacity * width)
+        self._win_req = self._grow_1d(self._win_req, capacity * width)
         self._buf_down = np.zeros(capacity, dtype=np.float64)
-        self._buf_req = np.zeros(capacity, dtype=np.float64)
         self._buf_in_step = np.zeros(capacity, dtype=bool)
 
     # ------------------------------------------------------------------
@@ -385,9 +409,15 @@ class SlaAccountant:
         record = self.vms.get(vm_id)
         if record is None:
             self._ensure_vm_capacity(vm_id + 1)
-            record = VmSlaRecord._bound(self, vm_id)
-            self.vms[vm_id] = record
-            self._vm_seen[vm_id] = True
+            record = self._track_vm(vm_id)
+        return record
+
+    def _track_vm(self, vm_id: int) -> VmSlaRecord:
+        """Start tracking a VM id (capacity already ensured)."""
+        record = VmSlaRecord._bound(self, vm_id)
+        self._vm_order[len(self.vms)] = vm_id
+        self.vms[vm_id] = record
+        self._vm_seen[vm_id] = True
         return record
 
     def restore_host_record(
@@ -412,9 +442,7 @@ class SlaAccountant:
         record.requested_seconds = requested_seconds
         record.migration_downtime_seconds = migration_downtime_seconds
         record.overload_downtime_seconds = overload_downtime_seconds
-        self._win_down[vm_id] = 0.0
-        self._win_req[vm_id] = 0.0
-        self._win_len[vm_id] = 0
+        self.reset_vm_window(vm_id)
         for downtime, requested in window:
             self._record_window_single(vm_id, downtime, requested)
         return record
@@ -428,59 +456,78 @@ class SlaAccountant:
         cumulative counters are kept — they aggregate over everything
         the slot ever served.  A never-seen id is a no-op.
         """
-        if vm_id < self._win_len.shape[0]:
-            self._win_down[vm_id] = 0.0
-            self._win_req[vm_id] = 0.0
-            self._win_len[vm_id] = 0
+        if vm_id < self._win_appends.shape[0]:
+            width = self._width
+            start = vm_id * width
+            self._win_down[start : start + width] = 0.0
+            self._win_req[start : start + width] = 0.0
+            self._win_appends[vm_id] = 0
+            self._win_nnz[vm_id] = 0
 
     # ------------------------------------------------------------------
     # Window maintenance
     # ------------------------------------------------------------------
+    def _chronological_slots(self, row: int) -> List[int]:
+        """Flat slot indices of a row's entries, oldest first."""
+        width = self._width
+        appends = int(self._win_appends[row])
+        head = max(appends - width, 0) % width
+        return [
+            row * width + (head + k) % width
+            for k in range(min(appends, width))
+        ]
+
     def _record_window_single(
         self, row: int, downtime: float, requested: float
     ) -> None:
         """Append one entry to a single VM's window (scalar path)."""
-        width = self._win_down.shape[1]
-        n = int(self._win_len[row])
-        if n >= width:
-            self._win_down[row, :-1] = self._win_down[row, 1:]
-            self._win_req[row, :-1] = self._win_req[row, 1:]
-            self._win_down[row, width - 1] = downtime
-            self._win_req[row, width - 1] = requested
-        else:
-            self._win_down[row, n] = downtime
-            self._win_req[row, n] = requested
-            self._win_len[row] = n + 1
+        width = self._width
+        slot = row * width + int(self._win_appends[row]) % width
+        # The overwritten slot holds the evicted entry when the row is
+        # full and +0.0 otherwise, so one difference of nonzero flags
+        # (a float's truth value) keeps the count exact.
+        self._win_nnz[row] += int(bool(downtime)) - int(
+            bool(self._win_down[slot])
+        )
+        self._win_down[slot] = downtime
+        self._win_req[slot] = requested
+        self._win_appends[row] += 1
 
     def _record_window_batch(
-        self, rows: np.ndarray, downtime: np.ndarray, requested: np.ndarray
+        self, rows: np.ndarray, downtime: np.ndarray, requested: float
     ) -> None:
-        """Append one entry to many VMs' windows in one vector pass."""
-        width = self._win_down.shape[1]
-        lens = self._win_len[rows]
-        full = lens >= width
-        full_rows = rows[full]
-        if full_rows.size:
-            # Advanced indexing copies the RHS before the scattered
-            # assignment, so the left shift is safe in place.
-            self._win_down[full_rows, :-1] = self._win_down[full_rows, 1:]
-            self._win_req[full_rows, :-1] = self._win_req[full_rows, 1:]
-        pos = np.where(full, width - 1, lens)
-        self._win_down[rows, pos] = downtime
-        self._win_req[rows, pos] = requested
-        self._win_len[rows] = np.minimum(lens + 1, width)
+        """Append one entry to many VMs' windows in one vector pass.
+
+        ``rows`` must be distinct (each VM appends once per step); every
+        entry requests the same ``requested`` seconds.
+        """
+        width = self._width
+        appends = self._win_appends[rows]
+        slots = rows * width + appends % width
+        self._win_nnz[rows] += downtime.astype(bool).astype(np.int64) - (
+            self._win_down[slots].astype(bool)
+        )
+        self._win_down[slots] = downtime
+        self._win_req[slots] = requested
+        self._win_appends[rows] = appends + 1
 
     def _window_fraction_rows(self, rows: np.ndarray) -> np.ndarray:
         """Windowed downtime fractions for the given rows.
 
-        Row sums are left-to-right (``np.cumsum``), matching the deque
-        implementation bit for bit; unfilled tail slots hold +0.0, which
-        never perturbs a left-to-right sum of non-negative terms.
+        Each row is read oldest first and summed left to right
+        (``np.cumsum``), matching the deque implementation bit for bit;
+        unfilled slots hold +0.0, which never perturbs a left-to-right
+        sum of non-negative terms.
         """
         if rows.size == 0:
             return np.zeros(0, dtype=np.float64)
-        requested = np.cumsum(self._win_req[rows], axis=1)[:, -1]
-        downtime = np.cumsum(self._win_down[rows], axis=1)[:, -1]
+        width = self._width
+        heads = np.maximum(self._win_appends[rows] - width, 0) % width
+        slots = rows[:, None] * width + (
+            (heads[:, None] + np.arange(width, dtype=np.int64)) % width
+        )
+        requested = np.cumsum(self._win_req[slots], axis=1)[:, -1]
+        downtime = np.cumsum(self._win_down[slots], axis=1)[:, -1]
         fractions = np.zeros(rows.shape[0], dtype=np.float64)
         served = requested > 0.0
         fractions[served] = downtime[served] / requested[served]
@@ -522,8 +569,13 @@ class SlaAccountant:
         self, datacenter, arrays, interval_seconds: float,
         migration_downtime: Mapping[int, float],
     ) -> None:
+        migration = dict(migration_downtime)
         self._ensure_host_capacity(datacenter.num_pms)
-        self._ensure_vm_capacity(datacenter.num_vms)
+        # Sized for every id this step touches, so the scratch buffers
+        # are not reallocated while they are being filled.
+        self._ensure_vm_capacity(
+            max(datacenter.num_vms, max(migration, default=-1) + 1)
+        )
         interval = interval_seconds
 
         active_ids = np.flatnonzero(arrays.active_pm_mask())
@@ -555,37 +607,27 @@ class SlaAccountant:
         if new_ids.size:
             order = np.lexsort((new_ids, arrays.host_of[new_ids]))
             for vm_id in new_ids[order]:
-                vm_key = int(vm_id)
-                self.vms[vm_key] = VmSlaRecord._bound(self, vm_key)
-                self._vm_seen[vm_key] = True
+                self._track_vm(int(vm_id))
 
-        num = self._buf_down.shape[0]
         down = self._buf_down
-        req = self._buf_req
         in_step = self._buf_in_step
-        down[:num] = 0.0
-        req[:num] = 0.0
-        in_step[:num] = False
+        down.fill(0.0)
+        in_step.fill(False)
         down[overloaded_vm_ids] = interval
-        req[eligible_ids] = interval
         in_step[eligible_ids] = True
-        for vm_id, seconds in dict(migration_downtime).items():
+        for vm_id, seconds in migration.items():
             self.vm_record(vm_id).migration_downtime_seconds += seconds
-            # Buffers may have been reallocated by vm_record's growth.
-            down = self._buf_down
-            req = self._buf_req
-            in_step = self._buf_in_step
             down[vm_id] += seconds
-            if not in_step[vm_id]:
-                req[vm_id] = interval
-                in_step[vm_id] = True
+            in_step[vm_id] = True
 
+        # Every participant requests the full interval: hosted VMs
+        # accrue it, and a migration-only VM is billed for it too.
         participants = np.flatnonzero(in_step)
         if participants.size:
             self._record_window_batch(
                 participants,
-                np.minimum(down[participants], req[participants]),
-                req[participants],
+                np.minimum(down[participants], interval),
+                interval,
             )
 
     def _observe_step_objects(
@@ -639,20 +681,26 @@ class SlaAccountant:
         record = self.vms.get(vm_id)
         return record.downtime_fraction if record else 0.0
 
-    def windowed_downtime_fractions(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``(vm_ids, fractions)`` over every tracked VM.
+    def nonzero_downtime_fractions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched ``(vm_ids, fractions)`` over the tracked VMs that have
+        downtime in their billing window.
 
-        Ids come back in first-seen order (the ``vms`` dict order), so a
-        cost model summing per-VM terms over this vector accumulates in
-        exactly the order the per-record loop would.
+        Every other tracked VM's windowed fraction is exactly 0.0.  Ids
+        come back in first-seen order (the ``vms`` dict order), so a cost
+        model summing per-VM terms over this vector accumulates in the
+        order the per-record loop would, minus its zero terms.
         """
-        vm_ids = np.fromiter(self.vms.keys(), dtype=np.int64, count=len(self.vms))
+        order = self._vm_order[: len(self.vms)]
+        vm_ids = order[self._win_nnz[order] > 0]
         return vm_ids, self._window_fraction_rows(vm_ids)
 
     def overall_sla_violation(self) -> float:
         """Mean lifetime downtime fraction across VMs — a QoS summary."""
         if not self.vms:
             return 0.0
-        return sum(
-            r.cumulative_downtime_fraction for r in self.vms.values()  # meghlint: ignore[MEGH009] -- cold path: end-of-run summary
-        ) / len(self.vms)
+        # Left to right: from Python 3.12 ``sum()`` of floats is
+        # compensated and may differ in the last bits.
+        total = 0.0
+        for record in self.vms.values():  # meghlint: ignore[MEGH009] -- cold path: end-of-run summary
+            total += record.cumulative_downtime_fraction
+        return total / len(self.vms)

@@ -46,12 +46,14 @@ class SlaCostModel:
             raise ConfigurationError("interval must be > 0")
         hours = interval_seconds / 3600.0
         if type(self).payback_rate is SlaCostModel.payback_rate:
-            # Batched path: evaluate the violation tiers over every
-            # tracked VM's windowed fraction in one pass and total the
-            # per-VM refunds left-to-right in first-seen order — the
-            # same operation sequence as the per-record loop, so the
-            # result is bit-identical.
-            vm_ids, fractions = accountant.windowed_downtime_fractions()
+            # Batched path: evaluate the violation tiers over the VMs
+            # with downtime in their window and total the refunds
+            # left-to-right in first-seen order.  Every other VM has a
+            # fraction of exactly 0.0, which no tier (thresholds >= 0)
+            # bills, and adding its +0.0 term to a non-negative partial
+            # sum never changes the sum's bits — so the result is
+            # bit-identical to the per-record loop.
+            vm_ids, fractions = accountant.nonzero_downtime_fractions()
             if vm_ids.size == 0:
                 return 0.0
             rates = np.where(

@@ -58,6 +58,46 @@ class TestPlacement:
         assert source == 0
         assert placed_datacenter.host_of(0) == 3
 
+    def test_move_rebuilds_ram_aggregate_once(self, placed_datacenter):
+        # The placements left the RAM aggregate dirty, as every started
+        # migration after the first in a batch finds it.  fits() pays
+        # the one rebuild; relocating must not pay a second.
+        arrays = placed_datacenter.arrays
+        for vm_id, dest in ((0, 3), (2, 0)):
+            before = arrays._ram_rebuilds
+            placed_datacenter.move(vm_id, dest)
+            assert arrays._ram_rebuilds - before == 1
+
+    def test_move_matches_remove_then_place(self, small_datacenter):
+        reference = Datacenter(
+            [make_pm(i) for i in range(4)], [make_vm(j) for j in range(6)]
+        )
+        for dc in (small_datacenter, reference):
+            for vm_id, pm_id in {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}.items():
+                dc.place(vm_id, pm_id)
+            dc.pm(3).sleep()
+        assert small_datacenter.move(0, 3) == 0
+        reference.remove(0)
+        reference.place(0, 3)
+        for dc in (small_datacenter, reference):
+            assert not dc.pm(3).asleep
+        assert list(small_datacenter.placement().items()) == list(
+            reference.placement().items()
+        )
+        for pm_id in range(4):
+            assert small_datacenter.vms_on(pm_id) == reference.vms_on(pm_id)
+            assert small_datacenter.ram_free_mb(pm_id) == reference.ram_free_mb(
+                pm_id
+            )
+        assert (
+            small_datacenter.arrays.host_of.tolist()
+            == reference.arrays.host_of.tolist()
+        )
+        assert (
+            small_datacenter.arrays.pm_vm_count.tolist()
+            == reference.arrays.pm_vm_count.tolist()
+        )
+
     def test_move_to_same_host_is_noop(self, placed_datacenter):
         assert placed_datacenter.move(0, 0) == 0
         assert placed_datacenter.host_of(0) == 0

@@ -35,6 +35,18 @@ class TestAggregates:
         assert collector.total_energy_cost_usd == pytest.approx(5.0)
         assert collector.total_sla_cost_usd == pytest.approx(2.5)
 
+    def test_totals_sum_left_to_right(self):
+        # A compensated sum (builtin ``sum`` from Python 3.12) gives 1.0
+        # here; left to right, 1e16 + 1.0 rounds back to 1e16 first.
+        values = [1e16, 1.0, -1e16]
+        c = MetricsCollector()
+        for i, value in enumerate(values):
+            c.record(step(i, energy=value, sla=value, seconds=value))
+        assert c.total_energy_cost_usd == 0.0
+        assert c.total_sla_cost_usd == 0.0
+        assert c.total_cost_usd == 0.0
+        assert c.mean_scheduler_seconds == 0.0
+
     def test_total_migrations(self, collector):
         assert collector.total_migrations == 10
 

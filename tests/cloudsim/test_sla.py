@@ -131,6 +131,14 @@ class TestOverallViolation:
     def test_empty_accountant(self):
         assert SlaAccountant().overall_sla_violation() == 0.0
 
+    def test_mean_sums_left_to_right(self):
+        # Cumulative fractions 1.0, 1e-16, 1e-16: left to right the tiny
+        # terms round away one at a time; a compensated sum keeps them.
+        acc = SlaAccountant()
+        for vm_id, downtime in enumerate((1.0, 1e-16, 1e-16)):
+            acc.restore_vm_record(vm_id, 1.0, downtime, 0.0, window=())
+        assert acc.overall_sla_violation() == 1.0 / 3.0
+
     def test_mean_across_vms(self, overloadable):
         acc = SlaAccountant(beta=0.7)
         overloadable.vm(0).set_demand(0.9)
@@ -146,6 +154,12 @@ class TestVmSlaRecord:
         record.record_step(0.0, 100.0)
         record.record_step(0.0, 100.0)
         assert record.downtime_fraction == 0.0
+
+    def test_window_sums_left_to_right(self):
+        record = VmSlaRecord(window_steps=3)
+        for downtime in (1.0, 1e-16, 1e-16):
+            record.record_step(downtime, 1.0)
+        assert record.downtime_fraction == 1.0 / 3.0
 
     def test_zero_requested(self):
         record = VmSlaRecord()
